@@ -112,8 +112,10 @@ def _build_hypergraph(dataset: MultiBehaviorDataset,
             add_edge(user_items, CROSS_BEHAVIOR_EDGE, user)
 
     num_nodes = dataset.num_items + 1  # index 0 = padding, stays isolated
+    # Binary memberships; the operators assembled from it cast it themselves.
     incidence = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(num_nodes, max(edge_count, 1))
+        (np.ones(len(rows), dtype=np.float32), (rows, cols)),
+        shape=(num_nodes, max(edge_count, 1))
     )
     if edge_count == 0:
         edge_behavior = [CROSS_BEHAVIOR_EDGE]

@@ -143,7 +143,7 @@ def hgnn_propagation_matrix(graph: Hypergraph, edge_weights: np.ndarray | None =
     h = graph.incidence.astype(np.float64)
     num_edges = graph.num_edges
     if edge_weights is None:
-        edge_weights = np.ones(num_edges)
+        edge_weights = np.ones(num_edges, dtype=np.float64)
     node_deg = np.asarray(h.sum(axis=1)).ravel()
     edge_deg = np.asarray(h.sum(axis=0)).ravel()
     inv_sqrt_nd = np.where(node_deg > 0, 1.0 / np.sqrt(np.maximum(node_deg, 1e-12)), 0.0)

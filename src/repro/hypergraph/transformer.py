@@ -12,7 +12,11 @@ over the incidence structure:
    cross-behavior user edges) and across users (via shared items).
 
 Attention over the ragged incidence structure is computed on the COO
-membership pairs with :func:`~repro.hypergraph.ops.segment_softmax`.
+membership pairs: :func:`~repro.hypergraph.ops.pair_dot` scores each pair,
+:func:`~repro.hypergraph.ops.segment_softmax` normalizes the scores within a
+group, and :func:`~repro.hypergraph.ops.pair_aggregate` sums the weighted
+values, each phase laid out by the layer's edge-grouped and node-grouped
+plans.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from repro.nn.tensor import get_default_dtype
 
 from .builder import CROSS_BEHAVIOR_EDGE
 from .incidence import Hypergraph, hgnn_propagation_matrix
-from .ops import segment_softmax, segment_sum, sparse_mm
+from .ops import pair_aggregate, pair_dot, segment_softmax, sparse_mm
 
 __all__ = ["HypergraphTransformerLayer", "HypergraphTransformer"]
 
@@ -55,13 +59,17 @@ class HypergraphTransformerLayer(Module):
                  rng: np.random.Generator, dropout: float = 0.0):
         super().__init__()
         self.dim = dim
-        self.node_index, self.edge_index = graph.coo_pairs()
+        node_index, edge_index = graph.coo_pairs()
         self.num_nodes = graph.num_nodes
         self.num_edges = graph.num_edges
-        # The COO index arrays are static, so the segment kernels' sort is
-        # precomputed once per layer instead of once per call.
-        self._node_plan = SegmentPlan(self.node_index, self.num_nodes)
-        self._edge_plan = SegmentPlan(self.edge_index, self.num_edges)
+        # The COO index arrays are static, so the CSR layouts of the pairs,
+        # grouped by node and by edge, are built once per layer instead of
+        # once per call.  The plans' own id arrays are the ones passed to
+        # the ops, which lets the ops' plan check pass on identity.
+        self._node_plan = SegmentPlan(node_index, self.num_nodes)
+        self._edge_plan = SegmentPlan(edge_index, self.num_edges)
+        self.node_index = self._node_plan.segment_ids
+        self.edge_index = self._edge_plan.segment_ids
         self.edge_mean = _edge_mean_matrix(graph)
         # Behavior-type id per edge; the cross-behavior sentinel maps to the
         # last row of the type embedding table.
@@ -109,20 +117,22 @@ class HypergraphTransformerLayer(Module):
         queries = self.n2e_query(edge_seed)          # (E, D)
         keys = self.n2e_key(x)                       # (V, D)
         values = self.n2e_value(x)                   # (V, D)
-        scores = (queries[edge_idx] * keys[node_idx]).sum(axis=-1) * self._scale
+        scores = pair_dot(queries, keys, edge_idx, node_idx,
+                          self._edge_plan, self._node_plan) * self._scale
         alpha = segment_softmax(scores, edge_idx, self.num_edges, plan=self._edge_plan)
-        edge_repr = segment_sum(values[node_idx] * alpha.expand_dims(-1),
-                                edge_idx, self.num_edges, plan=self._edge_plan)
+        edge_repr = pair_aggregate(alpha, values, edge_idx, node_idx, self.num_edges,
+                                   self._edge_plan, self._node_plan)
         edge_repr = edge_repr + edge_seed            # residual keeps empty edges sane
 
         # Phase 2: nodes attend over incident edges.
         node_queries = self.e2n_query(x)             # (V, D)
         edge_keys = self.e2n_key(edge_repr)          # (E, D)
         edge_values = self.e2n_value(edge_repr)      # (E, D)
-        scores = (node_queries[node_idx] * edge_keys[edge_idx]).sum(axis=-1) * self._scale
+        scores = pair_dot(node_queries, edge_keys, node_idx, edge_idx,
+                          self._node_plan, self._edge_plan) * self._scale
         beta = segment_softmax(scores, node_idx, self.num_nodes, plan=self._node_plan)
-        node_update = segment_sum(edge_values[edge_idx] * beta.expand_dims(-1),
-                                  node_idx, self.num_nodes, plan=self._node_plan)
+        node_update = pair_aggregate(beta, edge_values, node_idx, edge_idx, self.num_nodes,
+                                     self._node_plan, self._edge_plan)
 
         x = x + self.prop_gate * sparse_mm(self.propagation, x)
         x = x + self.attn_gate * self.dropout(node_update)

@@ -5,9 +5,9 @@ now only enforced by review:
 
 * ``DTYPE-DISCIPLINE`` — the float64-leak class of bug PR 1 fixed by hand in
   ``hgnn_propagation_matrix``: NumPy array factories default to float64, so
-  hot-path code in ``repro.nn`` / ``repro.core`` / ``repro.serve`` must pass
-  an explicit dtype, and explicit float64 must be intentional (baselined with
-  a reason).
+  hot-path code in ``repro.nn`` / ``repro.core`` / ``repro.hypergraph`` /
+  ``repro.serve`` must pass an explicit dtype, and explicit float64 must be
+  intentional (baselined with a reason).
 * ``SCATTER-CONTAINMENT`` — ``ufunc.at`` is the slowest scatter idiom; all
   scatter kernels live behind :mod:`repro.nn.scatter` so the fast/reference
   backend switch covers every call site.
@@ -77,12 +77,12 @@ class DtypeDisciplineRule:
     rule_id = "DTYPE-DISCIPLINE"
     description = ("np.zeros/ones/empty/full/arange need an explicit dtype, "
                    "and .astype/dtype targets must not be float64, inside "
-                   "repro.nn / repro.core / repro.serve hot paths; the "
-                   "quantized-retrieval module additionally requires a dtype "
-                   "on np.array/np.asarray and confines float64 to refine "
-                   "functions")
+                   "repro.nn / repro.core / repro.hypergraph / repro.serve "
+                   "hot paths; the quantized-retrieval module additionally "
+                   "requires a dtype on np.array/np.asarray and confines "
+                   "float64 to refine functions")
 
-    PACKAGES = ("repro.nn", "repro.core", "repro.serve")
+    PACKAGES = ("repro.nn", "repro.core", "repro.hypergraph", "repro.serve")
     FACTORIES = ("zeros", "ones", "empty", "full", "arange")
     # Spellings that statically resolve to a 64-bit (or wider) float dtype.
     FLOAT64_ATTRS = ("float64", "double", "float128", "longdouble")

@@ -6,17 +6,20 @@ loops).  This module provides the scatter-free equivalents used by the hot
 backward paths — embedding/``take`` gradients and the hypergraph segment ops:
 
 * 1-D scatter-add via :func:`numpy.bincount`.
-* Row scatter-add (2-D+) via sort + :func:`numpy.add.reduceat`.
-* Segment max via sort + :func:`numpy.maximum.reduceat`.
+* Row scatter-add (2-D+) as a CSR product: a ``(num_rows, n)`` matrix of
+  ones whose row ``r`` lists the update positions with index ``r``, times
+  the ``(n, ...)`` updates.
+* Segment max via the same grouping + :func:`numpy.maximum.reduceat`.
 
 The original ``np.add.at`` / ``np.maximum.at`` kernels are retained as the
 **reference** backend, selectable globally with :func:`set_scatter_backend`
 or temporarily with the :func:`scatter_backend` context manager; the test
-suite uses them to verify exact equivalence of the fast paths.
+suite uses them to verify the fast paths.
 
 For static index structures (hypergraph incidence COO pairs are identical
-every step) a :class:`SegmentPlan` precomputes the sort once so the per-step
-cost is a gather plus one ``reduceat``.
+every step) a :class:`SegmentPlan` holds the CSR layout, built once, so the
+per-step cost is the product alone.  ``scipy.sparse`` is imported on first
+use, which keeps it off the import path of the serving tier.
 """
 
 from __future__ import annotations
@@ -73,56 +76,48 @@ def _normalize_indices(indices: np.ndarray, size: int) -> np.ndarray:
 
 
 class SegmentPlan:
-    """Precomputed sort of a static segment-id array.
+    """CSR layout of a static segment-id array.
 
-    Hypergraph layers call the segment ops with the same COO index arrays on
-    every forward/backward pass; building the plan once at layer-construction
-    time amortizes the ``argsort`` away entirely.  ``order is None`` marks an
-    already-sorted id array (CSR→COO row indices), where even the per-call
-    gather is skipped.
+    Row ``s`` of the layout lists the positions ``j`` with
+    ``segment_ids[j] == s`` in their original order:
+    ``order[indptr[s]:indptr[s + 1]]``.  Row pointers come from
+    :func:`numpy.bincount`, the order from a stable sort, so a sum over a
+    segment adds its terms in sequence, the same way on every call.
+    Hypergraph layers call the segment ops with the same COO index arrays
+    on every forward/backward pass; building the plan once at
+    layer-construction time leaves each call with the product alone.
     """
 
-    __slots__ = ("segment_ids", "num_segments", "order", "sorted_ids", "starts",
-                 "present")
+    __slots__ = ("segment_ids", "num_segments", "order", "indptr")
 
     def __init__(self, segment_ids: np.ndarray, num_segments: int):
-        segment_ids = np.asarray(segment_ids).astype(np.intp, copy=False)
+        segment_ids = np.asarray(segment_ids)
         if segment_ids.ndim != 1:
             raise ValueError("segment_ids must be 1-D")
+        segment_ids = segment_ids.astype(np.intp, copy=False)
         if segment_ids.size and (segment_ids.min() < 0
                                  or segment_ids.max() >= num_segments):
             raise ValueError("segment id out of range")
         self.segment_ids = segment_ids
         self.num_segments = num_segments
-        if segment_ids.size == 0:
-            self.order = None
-            self.sorted_ids = segment_ids
-            self.starts = np.zeros(0, dtype=np.intp)
-            self.present = np.zeros(0, dtype=np.intp)
-            return
-        if np.all(segment_ids[1:] >= segment_ids[:-1]):
-            self.order = None
-            self.sorted_ids = segment_ids
-        else:
-            self.order = np.argsort(segment_ids, kind="stable")
-            self.sorted_ids = segment_ids[self.order]
-        boundaries = np.flatnonzero(np.diff(self.sorted_ids)) + 1
-        self.starts = np.concatenate((np.zeros(1, dtype=np.intp), boundaries))
-        self.present = self.sorted_ids[self.starts]
+        self.order = np.argsort(segment_ids, kind="stable")
+        self.indptr = np.zeros(num_segments + 1, dtype=np.intp)
+        np.cumsum(np.bincount(segment_ids, minlength=num_segments),
+                  out=self.indptr[1:])
 
+    def matrix(self, data: np.ndarray, columns: np.ndarray,
+               num_columns: int):
+        """CSR ``(num_segments, num_columns)`` with ``data[j]`` at
+        ``(segment_ids[j], columns[j])``.
 
-def _reduceat_rows(indices: np.ndarray, updates: np.ndarray, num_rows: int,
-                   plan: SegmentPlan | None, ufunc: np.ufunc,
-                   fill: float) -> np.ndarray:
-    """Sorted ``ufunc.reduceat`` over rows of ``updates`` grouped by index."""
-    out = np.full((num_rows,) + updates.shape[1:], fill, dtype=updates.dtype)
-    if indices.size == 0:
-        return out
-    if plan is None:
-        plan = SegmentPlan(indices, num_rows)
-    sorted_updates = updates if plan.order is None else updates[plan.order]
-    out[plan.present] = ufunc.reduceat(sorted_updates, plan.starts, axis=0)
-    return out
+        ``data`` and ``columns`` are in position order.  With the positions
+        themselves as columns and unit data, ``matrix(...) @ updates`` is
+        the row scatter-add of ``updates``.
+        """
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((data[self.order], columns[self.order], self.indptr),
+                             shape=(self.num_segments, num_columns))
 
 
 def scatter_add_rows(indices: np.ndarray, updates: np.ndarray, num_rows: int,
@@ -131,9 +126,10 @@ def scatter_add_rows(indices: np.ndarray, updates: np.ndarray, num_rows: int,
 
     ``indices`` is any integer array with ``indices.size == len(updates)``
     after flattening (negative values wrap, as with fancy indexing).  The
-    fast backend sorts indices and reduces contiguous runs with
-    ``np.add.reduceat`` (1-D updates go through ``np.bincount`` instead);
-    the reference backend is the seed's ``np.add.at``.
+    fast backend multiplies the updates by the CSR matrix of ones that
+    ``plan`` (built here when not given) lays out; 1-D updates go through
+    ``np.bincount`` instead.  The reference backend is the seed's
+    ``np.add.at``.
     """
     indices = _normalize_indices(indices, num_rows)
     updates = np.ascontiguousarray(updates)
@@ -143,7 +139,15 @@ def scatter_add_rows(indices: np.ndarray, updates: np.ndarray, num_rows: int,
         return out
     if updates.ndim == 1:
         return scatter_add_1d(indices, updates, num_rows)
-    return _reduceat_rows(indices, updates, num_rows, plan, np.add, 0.0)
+    if plan is None:
+        plan = SegmentPlan(indices, num_rows)
+    n = len(updates)
+    # An explicit row width: reshape(0, -1) is ambiguous for empty updates.
+    rows = updates.reshape(n, int(np.prod(updates.shape[1:])))
+    ones = np.ones(n, dtype=updates.dtype)
+    positions = np.arange(n, dtype=np.intp)
+    return (plan.matrix(ones, positions, n) @ rows).reshape(
+        (num_rows,) + updates.shape[1:])
 
 
 def scatter_add_at(target: np.ndarray, index, updates: np.ndarray) -> None:
@@ -181,5 +185,11 @@ def segment_max_1d(values: np.ndarray, segment_ids: np.ndarray, num_segments: in
         out = np.full(num_segments, fill, dtype=values.dtype)
         np.maximum.at(out, segment_ids, values)
         return out
-    return _reduceat_rows(segment_ids, values, num_segments, plan,
-                          np.maximum, fill)
+    if plan is None:
+        plan = SegmentPlan(segment_ids, num_segments)
+    out = np.full(num_segments, fill, dtype=values.dtype)
+    present = np.flatnonzero(np.diff(plan.indptr))
+    if present.size:
+        out[present] = np.maximum.reduceat(values[plan.order],
+                                           plan.indptr[present])
+    return out

@@ -1,10 +1,11 @@
 """Fast-vs-reference equivalence and gradient checks for the scatter kernels.
 
-The fast backend (bincount / sort + reduceat, optional precomputed
-``SegmentPlan``) must agree with the retained seed kernels (``np.add.at`` /
+The fast backend (bincount / CSR product over a ``SegmentPlan`` layout)
+must agree with the retained seed kernels (``np.add.at`` /
 ``np.maximum.at``) on every shape class the model produces: duplicate
-indices, empty update sets, empty segments, padding rows, and negative
-indices.
+indices, empty update sets, empty segments, padding rows, negative
+indices, 3-D updates from ``take`` on ``(B, L)`` ids, and calls with a
+precomputed plan.
 """
 
 from __future__ import annotations
@@ -41,21 +42,55 @@ class TestBackendSelection:
         assert get_scatter_backend() == before
 
 
+CASES_2D = pytest.mark.parametrize("num_updates,dim,num_rows", [
+    (0, 4, 6),       # empty update set
+    (1, 3, 1),       # single row
+    (7, 5, 3),       # heavy duplicates
+    (64, 8, 64),     # mostly unique
+    (50, 2, 4),      # all rows hit many times
+])
+
+
 class TestScatterAddRows:
-    @pytest.mark.parametrize("num_updates,dim,num_rows", [
-        (0, 4, 6),       # empty update set
-        (1, 3, 1),       # single row
-        (7, 5, 3),       # heavy duplicates
-        (64, 8, 64),     # mostly unique
-        (50, 2, 4),      # all rows hit many times
-    ])
+    @CASES_2D
     def test_matches_reference_2d(self, rng, num_updates, dim, num_rows):
         indices = rng.integers(0, num_rows, size=num_updates)
         updates = rng.standard_normal((num_updates, dim))
         fast, reference = _both_backends(
             lambda: scatter_add_rows(indices, updates, num_rows))
         assert fast.shape == reference.shape == (num_rows, dim)
-        np.testing.assert_allclose(fast, reference, atol=1e-12)
+        # Both add in position order, so they agree bitwise.
+        np.testing.assert_array_equal(fast, reference)
+
+    @CASES_2D
+    def test_matches_reference_2d_with_plan(self, rng, num_updates, dim,
+                                            num_rows):
+        indices = rng.integers(0, num_rows, size=num_updates)
+        updates = rng.standard_normal((num_updates, dim)).astype(np.float32)
+        plan = SegmentPlan(indices, num_rows)
+        fast, reference = _both_backends(
+            lambda: scatter_add_rows(indices, updates, num_rows, plan=plan))
+        assert fast.shape == reference.shape == (num_rows, dim)
+        assert fast.dtype == np.float32
+        np.testing.assert_array_equal(fast, reference)
+
+    @pytest.mark.parametrize("with_plan", [False, True])
+    def test_take_3d_updates_match_reference(self, rng, with_plan):
+        # take() on (B, L) ids from an (N, H, D) table: the backward scatters
+        # (B*L, H, D) updates by the flattened ids.
+        indices = rng.integers(0, 7, size=(4, 5))
+        updates = rng.standard_normal((20, 3, 2))
+        plan = SegmentPlan(indices.ravel(), 7) if with_plan else None
+        fast, reference = _both_backends(
+            lambda: scatter_add_rows(indices, updates, 7, plan=plan))
+        assert fast.shape == reference.shape == (7, 3, 2)
+        np.testing.assert_array_equal(fast, reference)
+
+    def test_empty_3d_updates(self):
+        updates = np.zeros((0, 3, 2), dtype=np.float32)
+        out = scatter_add_rows(np.zeros(0, dtype=np.int64), updates, 4)
+        assert out.shape == (4, 3, 2) and out.dtype == np.float32
+        assert np.all(out == 0.0)
 
     def test_padding_row_duplicates(self, rng):
         # Embedding backward repeatedly hits row 0 (the padding item).
@@ -143,14 +178,29 @@ class TestSegmentMax1D:
 
 
 class TestSegmentPlan:
-    def test_sorted_ids_skip_gather(self):
+    def test_row_pointers_count_segments(self):
+        plan = SegmentPlan(np.array([2, 0, 1, 0, 2]), 4)
+        # Segment 3 is empty.
+        np.testing.assert_array_equal(plan.indptr, [0, 2, 3, 5, 5])
+
+    def test_sorted_ids_keep_identity_order(self):
         plan = SegmentPlan(np.array([0, 0, 1, 2, 2]), 3)
-        assert plan.order is None
+        np.testing.assert_array_equal(plan.order, np.arange(5))
 
     def test_unsorted_ids_get_stable_order(self):
         plan = SegmentPlan(np.array([2, 0, 1, 0]), 3)
-        assert plan.order is not None
-        np.testing.assert_array_equal(plan.sorted_ids, [0, 0, 1, 2])
+        np.testing.assert_array_equal(plan.order, [1, 3, 2, 0])
+        np.testing.assert_array_equal(plan.segment_ids[plan.order], [0, 0, 1, 2])
+
+    def test_matrix_places_data_at_pairs(self):
+        segment_ids = np.array([2, 0, 1, 0])
+        columns = np.array([1, 3, 0, 3])
+        data = np.array([1.0, 2.0, 3.0, 4.0])
+        dense = SegmentPlan(segment_ids, 3).matrix(data, columns, 4).toarray()
+        expected = np.zeros((3, 4))
+        for s, c, d in zip(segment_ids, columns, data):
+            expected[s, c] += d
+        np.testing.assert_array_equal(dense, expected)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -162,12 +212,30 @@ class TestSegmentPlan:
         with pytest.raises(ValueError, match="does not match"):
             segment_sum(values, np.array([0, 1, 0, 1]), 2, plan=plan)
 
+    def test_plan_for_other_ids_of_same_size_rejected(self):
+        # Same length and segment count, different ids: obeying the plan
+        # would return [2, 4] instead of [1, 5].
+        values = Tensor(np.array([[0.0], [1.0], [2.0], [3.0]]))
+        plan = SegmentPlan(np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError, match="does not match"):
+            segment_sum(values, np.array([0, 0, 1, 1]), 2, plan=plan)
+        with pytest.raises(ValueError, match="does not match"):
+            segment_softmax(Tensor(np.zeros(4)), np.array([0, 0, 1, 1]), 2,
+                            plan=plan)
+
+    def test_equal_ids_in_another_array_accepted(self):
+        ids = np.array([0, 0, 1, 1])
+        plan = SegmentPlan(ids, 2)
+        values = Tensor(np.array([[0.0], [1.0], [2.0], [3.0]]))
+        out = segment_sum(values, ids.astype(np.int32), 2, plan=plan)
+        np.testing.assert_array_equal(out.data, [[1.0], [5.0]])
+
 
 class TestSegmentOpsEquivalence:
     """Tensor-level segment ops: fast and reference paths agree end to end."""
 
     def _segment_case(self, rng, with_empty=True):
-        # Segment 1 is left empty to exercise the reduceat fill path.
+        # Segment 1 is left empty to exercise the empty-segment paths.
         segment_ids = np.array([0, 0, 2, 3, 3, 3, 2, 4])
         num_segments = 5 if with_empty else 4
         values = rng.standard_normal((8, 3))
@@ -279,3 +347,19 @@ class TestGatherBackwardEquivalence:
         rng_data = rng.standard_normal((6, 3))
         fast, reference = _both_backends(run)
         np.testing.assert_allclose(fast, reference, atol=1e-5)
+
+    def test_take_3d_table_grad_matches_reference(self, rng):
+        # (B, L) ids into an (N, H, D) table: 3-D updates in the backward,
+        # with the padding row 0 hit repeatedly and one row never hit.
+        indices = np.array([[0, 3, 0, 1], [1, 0, 3, 3]])
+        table = rng.standard_normal((5, 2, 3))
+
+        def run():
+            x = Tensor(table.copy(), requires_grad=True)
+            out = x.take(indices, axis=0)
+            (out * out).sum().backward()
+            return x.grad.copy()
+
+        fast, reference = _both_backends(run)
+        np.testing.assert_allclose(fast, reference, atol=1e-5)
+        assert np.all(fast[[2, 4]] == 0.0)

@@ -82,6 +82,27 @@ class TestTrainer:
             losses.append(history.train_losses())
         assert np.allclose(losses[0], losses[1], rtol=1e-5)
 
+    def test_same_seed_fits_are_bitwise_identical(self, tiny_dataset, tiny_graph,
+                                                  tiny_split):
+        # Full MISSL (dropout, SSL and augmentation contrasts on): the CSR
+        # kernels add in a fixed order, so a rerun repeats every bit.
+        runs = []
+        for _ in range(2):
+            config = MISSLConfig(dim=16, num_interests=2, max_len=20,
+                                 num_train_negatives=8)
+            model = MISSL(tiny_dataset.num_items, tiny_dataset.schema, tiny_graph,
+                          config, seed=3)
+            history = Trainer(model, tiny_split,
+                              TrainConfig(epochs=2, patience=2, seed=9,
+                                          num_eval_negatives=30)).fit()
+            runs.append((history.train_losses(),
+                         [r.valid_metrics for r in history.records],
+                         model.parameter_vector()))
+        (losses_a, metrics_a, params_a), (losses_b, metrics_b, params_b) = runs
+        assert losses_a == losses_b
+        assert metrics_a == metrics_b
+        np.testing.assert_array_equal(params_a, params_b)
+
 
 class TestHistory:
     def test_accessors(self):
