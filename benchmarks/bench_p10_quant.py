@@ -63,6 +63,7 @@ from common import RESULTS_DIR
 
 from repro.data.batching import collate
 from repro.experiments import ExperimentContext, build_model
+from repro.obs import host_info
 from repro.serve import (ExactIndex, HistoryStore, HNSWIndex, IVFIndex,
                          IVFPQIndex, PQIndex, RecommenderService, SQIndex,
                          build_encoder, export_artifact, load_artifact,
@@ -267,6 +268,7 @@ def run_bench() -> dict:
     spawn = _measure_cold_spawn(artifact, dataset, root)
     payload = {
         "benchmark": "P10",
+        "host": host_info(),
         "config": {"preset": "taobao", "scale": PERF_SCALE, "dim": PERF_DIM,
                    "k": TOP_K, "min_reduction": MIN_REDUCTION,
                    "min_recall": MIN_RECALL, "p99_slack": P99_SLACK,

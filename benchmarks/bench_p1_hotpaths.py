@@ -40,6 +40,7 @@ from repro.eval.protocol import CandidateSets
 from repro.experiments import ExperimentContext, build_model
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import no_grad
+from repro.obs import host_info
 from repro.perf import reference_mode
 
 PERF_SCALE = float(os.environ.get("REPRO_PERF_SCALE", "0.4"))
@@ -121,6 +122,7 @@ def run_bench() -> dict:
         }
     payload = {
         "benchmark": "P1",
+        "host": host_info(),
         "config": {"preset": "taobao", "scale": PERF_SCALE, "dim": PERF_DIM,
                    "batch_size": PERF_BATCH, "steps": PERF_STEPS,
                    "min_speedup": PERF_MIN_SPEEDUP},

@@ -42,6 +42,7 @@ from common import RESULTS_DIR
 
 from repro.data.batching import collate
 from repro.experiments import ExperimentContext, build_model
+from repro.obs import host_info
 from repro.serve import (ExactIndex, HistoryStore, IVFIndex,
                          RecommenderService, build_encoder, export_artifact,
                          load_artifact, topk_overlap)
@@ -145,6 +146,7 @@ def run_bench() -> dict:
     recall = _measure_recall(artifact, dataset)
     payload = {
         "benchmark": "P2",
+        "host": host_info(),
         "config": {"preset": "taobao", "scale": PERF_SCALE, "dim": PERF_DIM,
                    "k": TOP_K, "requests": SERVE_REQUESTS,
                    "clients": SERVE_CLIENTS,

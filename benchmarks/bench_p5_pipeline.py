@@ -1,21 +1,16 @@
-"""P5 — parallel input & evaluation pipeline vs the seed in-process path.
+"""P5 — the vectorized input pipeline vs the seed per-row path.
 
-Times two workloads:
+Times input-pipeline epoch throughput: assembling every training batch of
+an epoch *including* negative-candidate sampling, exactly what the training
+loop does between optimizer steps.  The baseline is a replica of the seed
+path (per-row Python ``pad_sequences`` collate + per-row
+``NegativeSampler.sample`` calls); the contender is
+:class:`repro.data.pipeline.PrefetchLoader` (vectorized CSR collate +
+matrix negative sampling).
 
-* **Input-pipeline epoch throughput** — assembling every training batch of
-  an epoch *including* negative-candidate sampling, exactly what the main
-  process used to do inline between optimizer steps.  The baseline is a
-  replica of the seed path (per-row Python ``pad_sequences`` collate +
-  per-row ``NegativeSampler.sample`` calls); the contenders are
-  :class:`repro.data.pipeline.PrefetchLoader` at ``num_workers`` ∈ {0, 1, 2}
-  (vectorized CSR collate + matrix negative sampling, in-process or on the
-  worker pool).
-* **Evaluation wall-time** — a full sampled-ranking pass, serial vs sharded
-  (``rank_all(..., num_workers=2)``).
-
-Writes ``benchmarks/results/BENCH_P5.json`` and asserts the best
-workers-enabled loader beats the seed baseline by at least
-``REPRO_PERF_PIPELINE_MIN_SPEEDUP`` (default 1.5).
+Writes ``benchmarks/results/BENCH_P5.json`` and asserts the loader beats
+the seed baseline by at least ``REPRO_PERF_PIPELINE_MIN_SPEEDUP`` (default
+1.5).
 
 Runnable both ways:
     pytest -m perf benchmarks/bench_p5_pipeline.py
@@ -42,16 +37,14 @@ from common import RESULTS_DIR
 from repro.data.batching import Batch
 from repro.data.pipeline import PrefetchLoader, epoch_order
 from repro.data.sampling import NegativeSampler
-from repro.eval.evaluator import precollate, rank_all
-from repro.eval.protocol import CandidateSets
-from repro.experiments import ExperimentContext, build_model
+from repro.experiments import ExperimentContext
+from repro.obs import host_info
 
 PERF_SCALE = float(os.environ.get("REPRO_PERF_SCALE", "0.4"))
 PERF_EPOCHS = int(os.environ.get("REPRO_PERF_PIPELINE_EPOCHS", "3"))
 PERF_MIN_SPEEDUP = float(os.environ.get("REPRO_PERF_PIPELINE_MIN_SPEEDUP", "1.5"))
 PERF_BATCH = 128
 PERF_NEGATIVES = 50
-PERF_DIM = 32
 
 pytestmark = pytest.mark.perf
 
@@ -110,26 +103,22 @@ def _seed_epoch(examples, schema, sampler, seed, epoch):
     return count
 
 
-def _pipeline_epochs(examples, schema, dataset, num_workers) -> float:
+def _pipeline_epochs(examples, schema, dataset) -> float:
     """Examples/second assembling PERF_EPOCHS epochs on the new pipeline."""
     loader = PrefetchLoader(examples, schema, PERF_BATCH, seed=9,
-                            num_workers=num_workers, negatives=PERF_NEGATIVES,
-                            dataset=dataset)
-    try:
-        for batch in loader:        # warm-up epoch: fork pool, prime caches
-            pass
-        started = time.perf_counter()
-        count = 0
-        for _ in range(PERF_EPOCHS):
-            for batch in loader:
-                count += batch.size
-        return count / (time.perf_counter() - started)
-    finally:
-        loader.close()
+                            negatives=PERF_NEGATIVES, dataset=dataset)
+    for batch in loader:        # warm-up epoch: prime caches
+        pass
+    started = time.perf_counter()
+    count = 0
+    for _ in range(PERF_EPOCHS):
+        for batch in loader:
+            count += batch.size
+    return count / (time.perf_counter() - started)
 
 
 def run_bench() -> dict:
-    """Measure all loader configurations, print a summary, write the JSON."""
+    """Measure the seed path and the loader, print a summary, write the JSON."""
     context = ExperimentContext.build("taobao", scale=PERF_SCALE, seed=1)
     dataset = context.dataset
     examples = context.split.train
@@ -141,48 +130,18 @@ def run_bench() -> dict:
     count = sum(_seed_epoch(examples, dataset.schema, sampler, seed=9, epoch=e)
                 for e in range(PERF_EPOCHS))
     seed_throughput = count / (time.perf_counter() - started)
+    loader_throughput = _pipeline_epochs(examples, dataset.schema, dataset)
 
-    loaders = {f"prefetch_nw{nw}": _pipeline_epochs(examples, dataset.schema,
-                                                    dataset, nw)
-               for nw in (0, 1, 2)}
-
-    # Evaluation wall-time: serial vs sharded ranking over the same batches.
-    model = build_model("MISSL", context, dim=PERF_DIM, seed=1)
-    model.eval()
-    max_profile = max(len(dataset.items_of_user(u)) for u in dataset.users)
-    num_negatives = min(99, max(1, dataset.num_items - max_profile - 1))
-    candidates = CandidateSets(dataset, context.split.valid, num_negatives, seed=5)
-    batches = precollate(context.split.valid, candidates, dataset.schema)
-    rank_all(model, context.split.valid, candidates, dataset.schema,
-             precollated=batches)                       # warm caches
-    started = time.perf_counter()
-    serial_ranks = rank_all(model, context.split.valid, candidates,
-                            dataset.schema, precollated=batches)
-    eval_serial = time.perf_counter() - started
-    started = time.perf_counter()
-    sharded_ranks = rank_all(model, context.split.valid, candidates,
-                             dataset.schema, precollated=batches, num_workers=2)
-    eval_sharded = time.perf_counter() - started
-    assert np.array_equal(serial_ranks, sharded_ranks), \
-        "sharded rank_all diverged from the serial ranks"
-
-    workers_best = max(loaders["prefetch_nw1"], loaders["prefetch_nw2"])
     payload = {
         "benchmark": "P5",
+        "host": host_info(),
         "config": {"preset": "taobao", "scale": PERF_SCALE,
                    "batch_size": PERF_BATCH, "negatives": PERF_NEGATIVES,
                    "epochs": PERF_EPOCHS, "min_speedup": PERF_MIN_SPEEDUP},
         "input_pipeline": {
             "seed_examples_per_second": seed_throughput,
-            **{name: value for name, value in loaders.items()},
-            "speedup_inprocess": loaders["prefetch_nw0"] / seed_throughput,
-            "speedup_workers": workers_best / seed_throughput,
-        },
-        "evaluation": {
-            "serial_seconds": eval_serial,
-            "sharded_nw2_seconds": eval_sharded,
-            "speedup": eval_serial / eval_sharded if eval_sharded > 0 else float("inf"),
-            "ranks_identical": True,
+            "prefetch_examples_per_second": loader_throughput,
+            "speedup": loader_throughput / seed_throughput,
         },
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -190,11 +149,8 @@ def run_bench() -> dict:
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print()
     print(f"  seed loader          {seed_throughput:10.0f} examples/s")
-    for name, value in loaders.items():
-        print(f"  {name:20s} {value:10.0f} examples/s "
-              f"({value / seed_throughput:.2f}x)")
-    print(f"  eval serial={eval_serial:.3f}s sharded={eval_sharded:.3f}s "
-          f"({payload['evaluation']['speedup']:.2f}x), ranks identical")
+    print(f"  PrefetchLoader       {loader_throughput:10.0f} examples/s "
+          f"({payload['input_pipeline']['speedup']:.2f}x)")
     print(f"  written to {out_path}")
     return payload
 
@@ -202,16 +158,15 @@ def run_bench() -> dict:
 def test_p5_pipeline():
     payload = run_bench()
     assert (RESULTS_DIR / "BENCH_P5.json").exists()
-    speedup = payload["input_pipeline"]["speedup_workers"]
+    speedup = payload["input_pipeline"]["speedup"]
     assert speedup >= PERF_MIN_SPEEDUP, (
-        f"workers-enabled epoch throughput {speedup:.2f}x below the "
+        f"loader epoch throughput {speedup:.2f}x below the "
         f"{PERF_MIN_SPEEDUP:.2f}x floor")
-    assert payload["evaluation"]["ranks_identical"]
 
 
 if __name__ == "__main__":
     result = run_bench()
-    speedup = result["input_pipeline"]["speedup_workers"]
+    speedup = result["input_pipeline"]["speedup"]
     if speedup < PERF_MIN_SPEEDUP:
-        raise SystemExit(f"workers-enabled pipeline speedup {speedup:.2f}x "
+        raise SystemExit(f"loader speedup {speedup:.2f}x "
                          f"below {PERF_MIN_SPEEDUP:.2f}x")

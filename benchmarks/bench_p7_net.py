@@ -1,17 +1,12 @@
-"""P7 — network serving: recall-vs-latency Pareto and replica scaling.
+"""P7 — network serving: the recall-vs-latency Pareto of the indexes.
 
 Drives a real :class:`~repro.serve.net.NetServer` with the closed-loop load
-generator and answers two questions with numbers:
-
-1. **Index Pareto** — for each retrieval variant (exact, IVF at two probe
-   widths, HNSW at three ``ef_search`` settings) the benchmark measures
-   recall@k against the exact index *and* served p50/p99 latency through a
-   real TCP socket.  The interesting claim: some HNSW operating point
-   dominates the default IVF configuration — equal-or-better recall while
-   scoring fewer candidates.
-2. **Replica scaling** — the same load against a
-   :class:`~repro.serve.net.ReplicaSet` of 1, 2 and 3 forked replicas,
-   reporting achieved QPS and tail latency per replica count.
+generator.  For each retrieval variant (exact, IVF at two probe widths,
+HNSW at three ``ef_search`` settings) the benchmark measures recall@k
+against the exact index *and* served p50/p99 latency through a real TCP
+socket.  The interesting claim: some HNSW operating point dominates the
+default IVF configuration — equal-or-better recall while scoring fewer
+candidates.
 
 Writes ``benchmarks/results/BENCH_P7.json``.
 
@@ -33,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +37,11 @@ from common import RESULTS_DIR
 
 from repro.data.batching import collate
 from repro.experiments import ExperimentContext, build_model
-from repro.serve import (ExactIndex, HistoryStore, NetServer, build_backend,
-                         build_encoder, build_index, export_artifact,
-                         load_artifact, run_load, topk_overlap)
+from repro.obs import host_info
+from repro.serve import (ExactIndex, HistoryStore, LocalBackend, NetServer,
+                         RecommenderService, build_encoder, build_index,
+                         export_artifact, load_artifact, run_load,
+                         topk_overlap)
 
 PERF_SCALE = float(os.environ.get("REPRO_PERF_SCALE", "0.4"))
 NET_REQUESTS = int(os.environ.get("REPRO_PERF_NET_REQUESTS", "240"))
@@ -106,12 +102,10 @@ def _measure_recall(artifact, history, backend: str, options: dict) -> dict:
     }
 
 
-def _serve_load(artifact, dataset, *, replicas: int,
-                service_options: dict) -> dict:
+def _serve_load(artifact, dataset, *, service_options: dict) -> dict:
     """Served QPS and latency through a real socket for one configuration."""
-    backend = build_backend(artifact, HistoryStore.from_dataset(dataset),
-                            replicas=replicas,
-                            service_options=service_options)
+    backend = LocalBackend(RecommenderService(
+        artifact, HistoryStore.from_dataset(dataset), **service_options))
     server = NetServer(backend, max_inflight=64, default_k=TOP_K)
     try:
         host, port = server.start_background()
@@ -126,7 +120,7 @@ def _serve_load(artifact, dataset, *, replicas: int,
 
 
 def run_bench() -> dict:
-    """Measure the index Pareto and replica scaling; write BENCH_P7.json."""
+    """Measure the index Pareto; write BENCH_P7.json."""
     artifact, dataset = _exported_artifact()
     history = HistoryStore.from_dataset(dataset)
     pareto = {}
@@ -136,29 +130,19 @@ def run_bench() -> dict:
                    {"recall_at_k": 1.0,
                     "mean_candidates_scored": float(artifact.num_items),
                     "catalog_size": artifact.num_items})
-        served = _serve_load(artifact, dataset, replicas=0,
+        served = _serve_load(artifact, dataset,
                              service_options={"index_backend": backend,
                                               "index_options": options})
         pareto[name] = {"index_backend": backend, "options": options,
                         **quality, **served}
-    scaling = []
-    for replicas in (1, 2, 3):
-        started = time.perf_counter()
-        served = _serve_load(
-            artifact, dataset, replicas=replicas,
-            service_options={"index_backend": "hnsw",
-                             "index_options": {"ef_search": 48, "seed": 1}})
-        scaling.append({"replicas": replicas,
-                        "wall_seconds": time.perf_counter() - started,
-                        **served})
     payload = {
         "benchmark": "P7",
+        "host": host_info(),
         "config": {"preset": "taobao", "scale": PERF_SCALE, "dim": PERF_DIM,
                    "k": TOP_K, "requests": NET_REQUESTS,
                    "connections": NET_CONNECTIONS,
                    "min_recall": NET_MIN_RECALL},
         "pareto": pareto,
-        "replica_scaling": scaling,
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out_path = RESULTS_DIR / "BENCH_P7.json"
@@ -168,9 +152,6 @@ def run_bench() -> dict:
         print(f"  {name:12s} recall@{TOP_K}={row['recall_at_k']:.3f} "
               f"candidates={row['mean_candidates_scored']:6.0f}"
               f"/{row['catalog_size']}  qps={row['achieved_qps']:7.1f} "
-              f"p50={row['p50_ms']:6.2f}ms p99={row['p99_ms']:6.2f}ms")
-    for row in scaling:
-        print(f"  replicas={row['replicas']}  qps={row['achieved_qps']:7.1f} "
               f"p50={row['p50_ms']:6.2f}ms p99={row['p99_ms']:6.2f}ms")
     print(f"  written to {out_path}")
     return payload
@@ -201,10 +182,6 @@ def _check(payload: dict) -> None:
             + ", ".join(f"{name}: recall={pareto[name]['recall_at_k']:.3f} "
                         f"cand={pareto[name]['mean_candidates_scored']:.0f}"
                         for name in pareto))
-    for row in payload["replica_scaling"]:
-        assert row["sent"] == NET_REQUESTS
-        assert row["ok"] + row["shed"] + row["errors"] == NET_REQUESTS
-        assert row["errors"] == 0, f"replicas={row['replicas']} saw errors"
 
 
 def test_p7_net():

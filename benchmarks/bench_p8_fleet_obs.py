@@ -1,20 +1,18 @@
-"""P8 — fleet observability: correlation correctness and enabled-cost bound.
+"""P8 — serving observability: correlation correctness and enabled-cost bound.
 
-Runs one closed-loop load (real TCP socket, 2 forked replicas) twice over
+Runs one closed-loop load (real TCP socket, in-process backend) twice over
 the same artifact: telemetry **disabled** (the baseline every request pays
-anyway) and telemetry **enabled** with a JSON-lines event file plus replica
-spools.  The benchmark then answers two questions with numbers:
+anyway) and telemetry **enabled** with a JSON-lines event file.  The
+benchmark then answers two questions with numbers:
 
-1. **Correlation correctness** — after the enabled run, one
-   :func:`repro.obs.collect_fleet` pass over the event file must recover the
-   front-end process and both replica spools, every ``replica.request`` span
-   must join a front-end ``net.request`` tree with the same ``request_id``,
-   and the merged fleet counters must equal the per-process sums exactly.
-2. **Enabled cost** — served p99 with full fleet telemetry on must stay
-   within ``REPRO_PERF_OBS_MAX_REGRESSION`` (default 5%) of the disabled
-   baseline.  On hosts with a single CPU the front-end, two replicas, the
-   load generator *and* the event writer all contend for one core, so the
-   latency assertion is waived there (the correctness assertions are not).
+1. **Correlation correctness** — after the enabled run, every front-end
+   ``net.request`` span must have a ``serve.request`` child carrying its
+   ``request_id``.
+2. **Enabled cost** — served p99 with telemetry on must stay within
+   ``REPRO_PERF_OBS_MAX_REGRESSION`` (default 5%) of the disabled baseline.
+   On hosts with a single CPU the front-end, the load generator *and* the
+   event writer all contend for one core, so the latency assertion is
+   waived there (the correctness assertions are not).
 
 Writes ``benchmarks/results/BENCH_P8.json``.
 
@@ -35,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -43,9 +40,10 @@ import pytest
 from common import RESULTS_DIR
 
 from repro.experiments import ExperimentContext, build_model
-from repro.obs import collect_fleet, read_events_tolerant, telemetry_session
-from repro.serve import (HistoryStore, NetServer, build_backend,
-                         export_artifact, load_artifact, run_load)
+from repro.obs import host_info, read_events, telemetry_session
+from repro.serve import (HistoryStore, LocalBackend, NetServer,
+                         RecommenderService, export_artifact, load_artifact,
+                         run_load)
 
 PERF_SCALE = float(os.environ.get("REPRO_PERF_SCALE", "0.4"))
 NET_REQUESTS = int(os.environ.get("REPRO_PERF_NET_REQUESTS", "240"))
@@ -54,7 +52,6 @@ MAX_REGRESSION = float(os.environ.get("REPRO_PERF_OBS_MAX_REGRESSION", "0.05"))
 PERF_DIM = 32
 TOP_K = 10
 WARMUP = 24
-REPLICAS = 2
 
 pytestmark = pytest.mark.perf
 
@@ -70,9 +67,9 @@ def _exported_artifact():
 
 
 def _serve_load(artifact, dataset, registry=None) -> dict:
-    """One closed-loop load through a 2-replica set on a real socket."""
-    backend = build_backend(artifact, HistoryStore.from_dataset(dataset),
-                            replicas=REPLICAS, registry=registry)
+    """One closed-loop load through the in-process backend on a socket."""
+    backend = LocalBackend(RecommenderService(
+        artifact, HistoryStore.from_dataset(dataset), registry=registry))
     server = NetServer(backend, max_inflight=64, default_k=TOP_K,
                        registry=registry)
     try:
@@ -89,53 +86,26 @@ def _serve_load(artifact, dataset, registry=None) -> dict:
 
 
 def _correlation_facts(events_path: Path) -> dict:
-    """Collect the fleet view and distill the assertable correlation facts."""
-    view = collect_fleet(events_path)
-    spans = {span["span_id"]: span for span in view.spans}
-    front = [s for s in view.spans if s["name"] == "net.request"]
-    replica = [s for s in view.spans if s["name"] == "replica.request"]
+    """Count front-end requests and the service spans joined to them."""
+    spans = [e for e in read_events(events_path) if e["type"] == "span"]
+    front = {s["span_id"]: s for s in spans if s["name"] == "net.request"}
     joined = sum(
-        1 for child in replica
-        if (parent := spans.get(child["parent_id"])) is not None
-        and parent["name"] == "net.request"
+        1 for child in spans
+        if child["name"] == "serve.request"
+        and (parent := front.get(child["parent_id"])) is not None
         and parent.get("request_id") == child.get("request_id")
         and parent["trace_id"] == child["trace_id"])
-
-    merged_exactly = True
-    expected: dict[str, float] = {}
-    for entry in view.processes:
-        events, _ = read_events_tolerant(entry["file"])
-        metric_events = [e for e in events if e.get("type") == "metrics"]
-        if not metric_events:
-            continue
-        for name, value in (metric_events[-1]["registry"]
-                            .get("counters", {}).items()):
-            expected[name] = expected.get(name, 0) + value
-    for name, value in expected.items():
-        if view.registry.counter(name).value != value:
-            merged_exactly = False
-
-    return {
-        "processes": [{"role": p["role"], "spans": p["spans"],
-                       "events": p["events"]} for p in view.processes],
-        "roles": sorted({p["role"] for p in view.processes}),
-        "net_request_spans": len(front),
-        "replica_request_spans": len(replica),
-        "joined_replica_spans": joined,
-        "counters_merged_exactly": merged_exactly,
-        "counter_names_merged": len(expected),
-        "malformed_lines": view.malformed_lines,
-    }
+    return {"net_request_spans": len(front), "joined_serve_spans": joined}
 
 
 def run_bench() -> dict:
-    """Measure disabled vs fleet-enabled serving; write BENCH_P8.json."""
+    """Measure disabled vs telemetry-enabled serving; write BENCH_P8.json."""
     artifact, dataset = _exported_artifact()
 
     disabled = _serve_load(artifact, dataset)
 
     events_path = (Path(tempfile.mkdtemp(prefix="repro-bench-p8-obs-"))
-                   / "fleet.jsonl")
+                   / "serve.jsonl")
     with telemetry_session(events_path) as telemetry:
         enabled = _serve_load(artifact, dataset,
                               registry=telemetry.registry)
@@ -145,9 +115,10 @@ def run_bench() -> dict:
                   if disabled["p99_ms"] > 0 else 0.0)
     payload = {
         "benchmark": "P8",
+        "host": host_info(),
         "config": {"preset": "taobao", "scale": PERF_SCALE, "dim": PERF_DIM,
                    "k": TOP_K, "requests": NET_REQUESTS,
-                   "connections": NET_CONNECTIONS, "replicas": REPLICAS,
+                   "connections": NET_CONNECTIONS,
                    "max_regression": MAX_REGRESSION,
                    "cpu_count": os.cpu_count()},
         "disabled": disabled,
@@ -164,10 +135,8 @@ def run_bench() -> dict:
     print(f"  enabled   qps={enabled['achieved_qps']:7.1f} "
           f"p50={enabled['p50_ms']:6.2f}ms p99={enabled['p99_ms']:6.2f}ms "
           f"({regression:+.1%} p99)")
-    print(f"  fleet: {correlation['roles']} "
-          f"net.request={correlation['net_request_spans']} "
-          f"replica.request={correlation['replica_request_spans']} "
-          f"joined={correlation['joined_replica_spans']}")
+    print(f"  net.request={correlation['net_request_spans']} "
+          f"joined serve.request={correlation['joined_serve_spans']}")
     print(f"  written to {out_path}")
     return payload
 
@@ -181,26 +150,19 @@ def _check(payload: dict) -> None:
             "in-bounds closed loop")
 
     correlation = payload["correlation"]
-    roles = correlation["roles"]
-    assert "main" in roles, roles
-    assert sum(1 for role in roles if role.startswith("replica")) == REPLICAS
     assert correlation["net_request_spans"] == NET_REQUESTS
-    assert correlation["replica_request_spans"] == NET_REQUESTS
-    # every replica-side span joins its front-end request's trace
-    assert correlation["joined_replica_spans"] == NET_REQUESTS
-    assert correlation["counters_merged_exactly"]
-    assert correlation["counter_names_merged"] > 0
+    # every front-end request's service span carries its request id
+    assert correlation["joined_serve_spans"] == NET_REQUESTS
 
     cpus = payload["config"]["cpu_count"] or 1
     if MAX_REGRESSION > 0 and cpus > 1:
         assert payload["p99_regression"] < MAX_REGRESSION, (
-            f"fleet telemetry regressed served p99 by "
+            f"telemetry regressed served p99 by "
             f"{payload['p99_regression']:.1%} "
             f"(bound {MAX_REGRESSION:.0%})")
     elif MAX_REGRESSION > 0:
         print(f"  note: p99 regression assertion waived on a {cpus}-CPU "
-              "host (front-end, replicas, loadgen and event writer share "
-              "one core)")
+              "host (front-end, loadgen and event writer share one core)")
 
 
 def test_p8_fleet_obs():

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Smoke-run the perf benchmarks (P1 hot paths, P2 serving, P5 input
-# pipeline, P6 data-parallel training, P7 network serving, P8 fleet
-# observability, P10 quantized retrieval) at tiny scale.
+# pipeline, P7 network serving, P8 telemetry overhead, P10 quantized
+# retrieval) at tiny scale.
 #
 # Verifies the benchmark machinery end to end — all code paths execute and
-# BENCH_P1.json / BENCH_P2.json / BENCH_P5.json / BENCH_P6.json /
-# BENCH_P7.json / BENCH_P8.json / BENCH_P10.json are
-# produced — without asserting the speedup floors, which are only meaningful at the default
+# BENCH_P1.json / BENCH_P2.json / BENCH_P5.json / BENCH_P7.json /
+# BENCH_P8.json / BENCH_P10.json are produced — without asserting the speedup floors, which are only meaningful at the default
 # scale (tiny corpora are dominated by fixed overheads).  The P10
 # quantized-parity gates stay ON even here: the memory-reduction and
 # recall floors and the mmap'd-bundle RSS advantage are scale-robust
@@ -24,9 +23,6 @@ export REPRO_PERF_SERVE_CLIENTS="${REPRO_PERF_SERVE_CLIENTS:-8}"
 export REPRO_PERF_SERVE_MIN_SPEEDUP="${REPRO_PERF_SERVE_MIN_SPEEDUP:-0}"
 export REPRO_PERF_PIPELINE_EPOCHS="${REPRO_PERF_PIPELINE_EPOCHS:-1}"
 export REPRO_PERF_PIPELINE_MIN_SPEEDUP="${REPRO_PERF_PIPELINE_MIN_SPEEDUP:-0}"
-export REPRO_PERF_DDP_EPOCHS="${REPRO_PERF_DDP_EPOCHS:-1}"
-export REPRO_PERF_DDP_MIN_SPEEDUP="${REPRO_PERF_DDP_MIN_SPEEDUP:-0}"
-export REPRO_PERF_EVAL_MIN_SPEEDUP="${REPRO_PERF_EVAL_MIN_SPEEDUP:-0}"
 export REPRO_PERF_NET_REQUESTS="${REPRO_PERF_NET_REQUESTS:-120}"
 export REPRO_PERF_NET_CONNECTIONS="${REPRO_PERF_NET_CONNECTIONS:-4}"
 export REPRO_PERF_OBS_MAX_REGRESSION="${REPRO_PERF_OBS_MAX_REGRESSION:-0}"
@@ -39,29 +35,26 @@ export REPRO_PERF_QUANT_CATALOG="${REPRO_PERF_QUANT_CATALOG:-2000}"
 export REPRO_PERF_QUANT_RSS_MB="${REPRO_PERF_QUANT_RSS_MB:-8}"
 
 # Static-analysis gate: new findings (anything not in lint-baseline.json)
-# fail the smoke run before any benchmark time is spent.  --jobs exercises
-# the parallel front-end (output is asserted identical to serial in
-# tests/lint/test_flow_rules.py); the --select pass pins the five
-# concurrency flow rules explicitly so a registry regression that dropped
-# one would fail loudly here rather than silently passing the full gate.
-PYTHONPATH=src python -m repro lint src/repro --jobs 4
+# fail the smoke run before any benchmark time is spent.  The --select pass
+# pins the three concurrency flow rules explicitly so a registry regression
+# that dropped one would fail loudly here rather than silently passing the
+# full gate.
+PYTHONPATH=src python -m repro lint src/repro
 PYTHONPATH=src python -m repro lint src/repro \
-    --select LEASE-BALANCE,LOCK-DISCIPLINE,LOCK-ORDER,FORK-SAFETY,ASYNC-BLOCKING
+    --select LOCK-DISCIPLINE,LOCK-ORDER,ASYNC-BLOCKING
 
 rm -f benchmarks/results/BENCH_P1.json benchmarks/results/BENCH_P2.json \
-      benchmarks/results/BENCH_P5.json benchmarks/results/BENCH_P6.json \
-      benchmarks/results/BENCH_P7.json benchmarks/results/BENCH_P8.json \
-      benchmarks/results/BENCH_P10.json
+      benchmarks/results/BENCH_P5.json benchmarks/results/BENCH_P7.json \
+      benchmarks/results/BENCH_P8.json benchmarks/results/BENCH_P10.json
 
 PYTHONPATH=src python benchmarks/bench_p1_hotpaths.py
 PYTHONPATH=src python benchmarks/bench_p2_serving.py
 PYTHONPATH=src python benchmarks/bench_p5_pipeline.py
-PYTHONPATH=src python benchmarks/bench_p6_ddp.py
 PYTHONPATH=src python benchmarks/bench_p7_net.py
 PYTHONPATH=src python benchmarks/bench_p8_fleet_obs.py
 PYTHONPATH=src python benchmarks/bench_p10_quant.py
 
-for result in BENCH_P1.json BENCH_P2.json BENCH_P5.json BENCH_P6.json BENCH_P7.json BENCH_P8.json BENCH_P10.json; do
+for result in BENCH_P1.json BENCH_P2.json BENCH_P5.json BENCH_P7.json BENCH_P8.json BENCH_P10.json; do
     if [[ ! -f "benchmarks/results/$result" ]]; then
         echo "FAIL: benchmarks/results/$result was not produced" >&2
         exit 1
@@ -83,18 +76,18 @@ grep -q "train.fit" "$OBS_RENDER" || {
 }
 
 # Network serving smoke, end to end through the CLI: export an artifact,
-# start `repro serve --listen` with replicas and fleet telemetry, push 200
-# closed-loop requests through a real socket, then SIGTERM and require a
-# clean (exit 0) drain with request-correlated spans in the event spools.
-# REPRO_LOCK_WATCH=1 runs the whole fleet under the runtime lock-order
+# start `repro serve --listen` with telemetry, push 200 closed-loop
+# requests through a real socket, then SIGTERM and require a clean (exit 0)
+# drain with request-correlated spans in the event log.
+# REPRO_LOCK_WATCH=1 runs the server under the runtime lock-order
 # watchdog — any cycle-closing lock acquisition in the serve tier raises
 # LockOrderViolation and fails the smoke instead of deadlocking it.
 export REPRO_LOCK_WATCH=1
 SERVE_ARTIFACT="$(mktemp -t repro_serve_smoke.XXXXXX.npz)"
 NET_EVENTS="$(mktemp -t repro_net_smoke.XXXXXX.jsonl)"
 NET_RENDER="$(mktemp -t repro_net_smoke.XXXXXX.txt)"
-trap 'rm -rf "$OBS_EVENTS" "$OBS_RENDER" "$SERVE_ARTIFACT" \
-             "$NET_EVENTS" "$NET_EVENTS.d" "$NET_RENDER"' EXIT
+trap 'rm -f "$OBS_EVENTS" "$OBS_RENDER" "$SERVE_ARTIFACT" \
+            "$NET_EVENTS" "$NET_RENDER"' EXIT
 PYTHONPATH=src python -m repro export --preset taobao \
     --scale "$REPRO_PERF_SCALE" --dim 16 --epochs 1 --seed 1 \
     "$SERVE_ARTIFACT" >/dev/null
@@ -108,7 +101,7 @@ import sys
 artifact, scale, events = sys.argv[1], float(sys.argv[2]), sys.argv[3]
 proc = subprocess.Popen(
     [sys.executable, "-m", "repro", "serve", artifact,
-     "--listen", "127.0.0.1:0", "--replicas", "2", "--index", "hnsw",
+     "--listen", "127.0.0.1:0", "--index", "hnsw",
      "--events-out", events],
     stdout=subprocess.PIPE, text=True)
 try:
@@ -127,31 +120,32 @@ finally:
     code = proc.wait(timeout=60)
 assert code == 0, f"serve exited {code} on SIGTERM"
 
-# Obs over the network: the fleet merge must recover front-end and replica
-# spools with request-correlated spans joined into one trace.
-from repro.obs import collect_fleet
-view = collect_fleet(events)
-roles = {p["role"] for p in view.processes}
-assert "main" in roles and any(r.startswith("replica") for r in roles), roles
-spans = {s["span_id"]: s for s in view.spans}
-replica_spans = [s for s in view.spans if s["name"] == "replica.request"]
-assert replica_spans, "no replica.request spans in the fleet view"
-for child in replica_spans:
-    parent = spans[child["parent_id"]]
-    assert parent["name"] == "net.request", parent
-    assert parent["request_id"] == child["request_id"]
+# Obs over the network: every recommend's net.request span must have a
+# serve.request child carrying its request_id.
+from repro.obs import read_events
+spans = [e for e in read_events(events) if e["type"] == "span"]
+served = {}
+for span in spans:
+    if span["name"] == "serve.request":
+        served.setdefault(span["parent_id"], []).append(span)
+requests = [s for s in spans if s["name"] == "net.request"
+            and s["attrs"].get("op") == "recommend"]
+assert len(requests) == report.sent, (len(requests), report.sent)
+for request in requests:
+    children = served.get(request["span_id"], [])
+    assert [c["request_id"] for c in children] == [request["request_id"]], \
+        (request, children)
 print(f"serve smoke OK ({report.ok} requests, "
       f"p99 {report.percentile(99.0):.1f}ms, "
-      f"{len(view.processes)} fleet processes, "
-      f"{len(replica_spans)} correlated replica spans)")
+      f"{len(requests)} request-correlated serve spans)")
 PY
 PYTHONPATH=src python -m repro obs "$NET_EVENTS" >"$NET_RENDER"
 grep -q "net.request" "$NET_RENDER" || {
     echo "FAIL: obs render missing net.request span" >&2
     exit 1
 }
-grep -q "replica.request" "$NET_RENDER" || {
-    echo "FAIL: obs render missing replica.request span" >&2
+grep -q "serve.request" "$NET_RENDER" || {
+    echo "FAIL: obs render missing serve.request span" >&2
     exit 1
 }
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 
@@ -52,19 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--dim", type=int, default=32)
     train.add_argument("--epochs", type=int, default=12)
     train.add_argument("--seed", type=int, default=1)
-    train.add_argument("--num-workers", type=int, default=0,
-                       help="input-pipeline worker processes (0 = in-process; "
-                            "batches are identical for any setting)")
-    train.add_argument("--prefetch", type=int, default=2,
-                       help="batches kept in flight per pipeline worker")
-    train.add_argument("--data-parallel", action="store_true",
-                       help="shard-decomposed data-parallel training "
-                            "(allreduce over --grad-shards gradient shards; "
-                            "deterministic at any --num-workers)")
-    train.add_argument("--grad-shards", type=int, default=4,
-                       help="gradient shards per step under --data-parallel "
-                            "(fixed shard count keeps results worker-"
-                            "count-independent)")
     train.add_argument("--checkpoint", default=None,
                        help="save the trained model's parameters to this .npz path")
     train.add_argument("--events-out", default=None, metavar="FILE",
@@ -104,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--artifact-format", default="npz",
                         choices=["npz", "dir"],
                         help="npz: single compressed file; dir: directory "
-                             "bundle of mmap-able .npy files (replicas share "
-                             "page-cache pages and can ship prebuilt indexes)")
+                             "bundle of mmap-able .npy files (can ship "
+                             "prebuilt indexes)")
     export.add_argument("--prebuild", action="append", default=None,
                         metavar="INDEX",
                         choices=["ivf", "hnsw", "pq", "ivf_pq", "exact_sq"],
@@ -150,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve newline-delimited JSON over TCP instead "
                             "of stdin/stdout (port 0 picks a free port; the "
                             "ready banner reports the bound address)")
-    serve.add_argument("--replicas", type=int, default=0,
-                       help="with --listen, fork this many single-worker "
-                            "replica processes (0 = serve in-process)")
     serve.add_argument("--max-inflight", type=int, default=64,
                        help="with --listen, bound on concurrently executing "
                             "requests before load shedding")
@@ -187,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--write-baseline", action="store_true",
                       help="accept all current findings into the baseline "
                            "(preserves documented reasons)")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="parse and run per-file rules across N worker "
-                           "processes (project-wide rules stay in the "
-                           "parent); output is identical to --jobs 1")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
     lint.add_argument("--verbose", action="store_true",
@@ -240,11 +221,7 @@ def _cmd_train(args) -> int:
                                           seed=args.seed)
         model = build_model(args.model, context, dim=args.dim, seed=args.seed)
         report, seconds = train_and_evaluate(model, context, epochs=args.epochs,
-                                             seed=args.seed, callbacks=callbacks,
-                                             num_workers=args.num_workers,
-                                             prefetch=args.prefetch,
-                                             data_parallel=args.data_parallel,
-                                             grad_shards=args.grad_shards)
+                                             seed=args.seed, callbacks=callbacks)
         print(f"{args.model} on {args.preset} (scale {args.scale}): {report} "
               f"[{seconds:.1f}s]")
         if args.checkpoint and model.parameters():
@@ -262,10 +239,7 @@ def _cmd_train(args) -> int:
                 checkpoint.with_name(checkpoint.name + ".manifest.json"),
                 config={"model": args.model, "preset": args.preset,
                         "dim": args.dim, "scale": args.scale,
-                        "epochs": args.epochs, "num_workers": args.num_workers,
-                        "prefetch": args.prefetch,
-                        "data_parallel": args.data_parallel,
-                        "grad_shards": args.grad_shards},
+                        "epochs": args.epochs},
                 seed=args.seed,
                 metrics=dict(report),
                 extra={"seconds": seconds})
@@ -380,33 +354,19 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _serve_request(service, request: dict, default_k: int) -> dict:
-    """Dispatch one decoded JSON-lines request against the service."""
-    op = request.get("op", "recommend")
-    if op == "recommend":
-        recs = service.recommend(int(request["user"]),
-                                 k=int(request.get("k", default_k)))
-        return {"ok": True, "user": int(request["user"]),
-                "items": [r.item for r in recs],
-                "scores": [r.score for r in recs]}
-    if op == "append":
-        version = service.append_event(
-            int(request["user"]), int(request["item"]), request["behavior"],
-            timestamp=request.get("timestamp"))
-        return {"ok": True, "user": int(request["user"]), "version": version}
-    if op == "stats":
-        return {"ok": True, "stats": service.stats()}
-    if op == "report":
-        return {"ok": True, "report": service.report()}
-    raise ValueError(f"unknown op {op!r} (expected recommend/append/stats/report)")
-
-
 def _cmd_serve(args) -> int:
-    import json
-
     from repro.data import DATASET_PRESETS, generate, k_core_filter
-    from repro.serve import HistoryStore, RecommenderService, load_artifact
+    from repro.serve import (HistoryStore, LocalBackend, RecommenderService,
+                             load_artifact)
 
+    address = None
+    if args.listen is not None:
+        host, _, port_text = args.listen.rpartition(":")
+        if not host or not port_text.isdigit():
+            print(f"--listen expects HOST:PORT, got {args.listen!r}",
+                  file=sys.stderr)
+            return 2
+        address = (host, int(port_text))
     artifact = load_artifact(args.artifact)
     preset = args.preset or artifact.extra.get("preset")
     scale = args.scale if args.scale is not None else artifact.extra.get("scale")
@@ -428,96 +388,70 @@ def _cmd_serve(args) -> int:
         index_options["m"] = args.pq_m
     if args.refine and index_backend in ("pq", "ivf_pq", "exact_sq"):
         index_options["refine"] = args.refine
-    if args.listen is not None:
-        return _serve_network(args, artifact, history, index_backend,
-                              index_options, probe)
+    ready = {"ok": True, "ready": True, "users": len(history.users),
+             "num_items": artifact.num_items, "backend": index_backend}
     with _telemetry(args.events_out) as telemetry:
         registry = telemetry.registry if telemetry is not None else None
-        with RecommenderService(artifact, history, index_backend=index_backend,
-                                index_options=index_options,
-                                max_batch=args.max_batch,
-                                max_wait_ms=args.max_wait_ms,
-                                recall_probe_every=probe,
-                                registry=registry) as service:
-            print(json.dumps({"ok": True, "ready": True,
-                              "users": len(history.users),
-                              "num_items": artifact.num_items,
-                              "backend": index_backend}), flush=True)
-            for line in sys.stdin:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = json.loads(line)
-                    if request.get("op") == "quit":
-                        break
-                    response = _serve_request(service, request, args.k)
-                except (KeyError, ValueError, TypeError) as error:
-                    response = {"ok": False, "error": str(error)}
-                print(json.dumps(response), flush=True)
-            print(service.report(), file=sys.stderr)
-            if args.metrics_out:
-                from pathlib import Path
-                snapshot = json.dumps(service.stats(), indent=2) + "\n"
-                Path(args.metrics_out).write_text(snapshot, encoding="utf-8")
+        backend = LocalBackend(RecommenderService(
+            artifact, history, index_backend=index_backend,
+            index_options=index_options, max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms, recall_probe_every=probe,
+            registry=registry))
+        try:
+            if address is None:
+                snapshot = _serve_stdin(args, backend, ready)
+            else:
+                snapshot = _serve_network(args, backend, address, ready,
+                                          registry)
+        finally:
+            backend.close()
+        if args.metrics_out:
+            from pathlib import Path
+            Path(args.metrics_out).write_text(
+                json.dumps(snapshot, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
-def _serve_network(args, artifact, history, index_backend: str,
-                   index_options: dict, probe: int) -> int:
+def _serve_stdin(args, backend, ready: dict) -> dict:
+    """JSON-lines requests on stdin, one response line each on stdout."""
+    from repro.serve import normalize_request
+
+    print(json.dumps(ready), flush=True)
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            request = json.loads(line)
+            if isinstance(request, dict) and request.get("op") == "quit":
+                break
+            response = backend.process(normalize_request(request, args.k))
+        except (KeyError, ValueError, TypeError, RecursionError) as error:
+            response = {"ok": False, "error": str(error)}
+        print(json.dumps(response), flush=True)
+    print(backend.report(), file=sys.stderr)
+    return backend.stats()
+
+
+def _serve_network(args, backend, address: tuple[str, int], ready: dict,
+                   registry) -> dict:
     """Network serving mode (``--listen``): NDJSON over TCP until SIGTERM."""
-    import json
     import signal
 
-    from repro.serve import NetServer, build_backend
+    from repro.serve import NetServer
 
-    host, _, port_text = args.listen.rpartition(":")
-    if not host or not port_text:
-        print(f"--listen expects HOST:PORT, got {args.listen!r}",
-              file=sys.stderr)
-        return 2
-    with _telemetry(args.events_out) as telemetry:
-        registry = telemetry.registry if telemetry is not None else None
-        backend = build_backend(
-            artifact, history, replicas=args.replicas,
-            service_options={"index_backend": index_backend,
-                             "index_options": index_options,
-                             "recall_probe_every": probe},
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            registry=registry)
-        server = NetServer(backend, host, int(port_text),
-                           max_inflight=args.max_inflight,
-                           default_k=args.k, registry=registry)
-        try:
-            bound_host, bound_port = server.start_background()
-            print(json.dumps({"ok": True, "ready": True,
-                              "host": bound_host, "port": bound_port,
-                              "users": len(history.users),
-                              "num_items": artifact.num_items,
-                              "backend": index_backend,
-                              "replicas": args.replicas}), flush=True)
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                signal.signal(signum, lambda *_: server.drain())
-            server.wait()
-        finally:
-            server.stop()
-            if args.metrics_out:
-                snapshot = {"net": server.net_stats()}
-                if hasattr(backend, "stats"):
-                    snapshot["backend"] = backend.stats()
-            # Close the backend before collecting: replica processes flush
-            # their relay spools (final metrics snapshot included) on exit.
-            backend.close()
-            if args.metrics_out:
-                from pathlib import Path
-                if telemetry is not None:
-                    from repro.obs import collect_fleet
-                    telemetry.emit_metrics_snapshot()
-                    fleet = collect_fleet(args.events_out)
-                    snapshot["fleet"] = fleet.registry.snapshot()
-                Path(args.metrics_out).write_text(
-                    json.dumps(snapshot, indent=2) + "\n", encoding="utf-8")
-    return 0
+    server = NetServer(backend, *address, max_inflight=args.max_inflight,
+                       default_k=args.k, registry=registry)
+    try:
+        bound_host, bound_port = server.start_background()
+        print(json.dumps({**ready, "host": bound_host, "port": bound_port}),
+              flush=True)
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda *_: server.drain())
+        server.wait()
+    finally:
+        server.stop()
+    return {"net": server.net_stats(), "backend": backend.stats()}
 
 
 def _cmd_obs(args) -> int:
@@ -562,8 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs import setup_logging
     setup_logging()
     if os.environ.get("REPRO_LOCK_WATCH", "") not in ("", "0"):
-        # Opt-in runtime lock-order watchdog; fork-based replicas inherit
-        # the enabled state (and their own private acquisition graphs).
+        # Opt-in runtime lock-order watchdog.
         from repro.obs import enable_lock_watch
         enable_lock_watch()
     args = build_parser().parse_args(argv)

@@ -119,8 +119,8 @@ class SequentialRecommender(Module):
                                    num_negatives: int) -> np.ndarray:
         """Per-row ``[positive, negatives...]`` candidates for sampled softmax.
 
-        Batches assembled by the prefetching pipeline arrive with the
-        candidates presampled off the main process (``batch.candidates``);
+        Batches assembled by :class:`~repro.data.pipeline.PrefetchLoader`
+        arrive with the candidates presampled (``batch.candidates``);
         those are consumed directly when the width matches the requested
         negative count, otherwise sampling happens inline as before.
         """

@@ -5,18 +5,13 @@ Flow: :func:`~repro.data.synthetic.generate` (or any loader producing
 → :func:`k_core_filter` / :func:`truncate_history` → :func:`leave_one_out_split`
 → :class:`BatchLoader` / :class:`PrefetchLoader` batches consumed by models.
 
-:mod:`~repro.data.pipeline` holds the parallel input path: CSR-packed
-examples with a fully vectorized collate, a prefetching multiprocess loader
-with deterministic per-``(epoch, batch)`` seeding, and the worker pool that
-also powers sharded ranking evaluation.  :mod:`~repro.data.shm` carries the
-arrays between those processes through shared memory (descriptors on the
-queue, zero-copy views on the consumer side).
+:mod:`~repro.data.pipeline` holds the training input path: CSR-packed
+examples with a fully vectorized collate and a loader with deterministic
+per-``(epoch, batch)`` seeding.
 """
 
 from .batching import Batch, BatchLoader, collate, pad_sequences
-from .pipeline import (PackedExamples, PrefetchLoader, WorkerError, WorkerPool,
-                       parallel_map)
-from .shm import ShmArena, ShmBlock, ShmParamMirror, decode_payload, encode_payload
+from .pipeline import PackedExamples, PrefetchLoader
 from .dataset import DatasetStats, MultiBehaviorDataset
 from .loaders import UB_BEHAVIOR_MAP, load_interaction_csv, load_user_behavior_csv
 from .preprocessing import drop_holdout_targets, k_core_filter, remap_ids, truncate_history
@@ -38,7 +33,5 @@ __all__ = [
     "DataSplit", "SequenceExample", "leave_one_out_split", "temporal_split",
     "NegativeSampler",
     "Batch", "BatchLoader", "collate", "pad_sequences",
-    "PackedExamples", "PrefetchLoader", "WorkerError", "WorkerPool",
-    "parallel_map",
-    "ShmArena", "ShmBlock", "ShmParamMirror", "encode_payload", "decode_payload",
+    "PackedExamples", "PrefetchLoader",
 ]

@@ -67,8 +67,8 @@ class Batch:
     targets: np.ndarray                     # (B,)
     candidates: np.ndarray | None = None    # (B, 1+num_negatives) presampled
     """Optional presampled training candidates (positive in column 0), filled
-    in by the prefetching pipeline so negative sampling runs off the main
-    process; ``sample_training_candidates`` consumes them when the width
+    in by :class:`~repro.data.pipeline.PrefetchLoader` at batch assembly;
+    ``sample_training_candidates`` consumes them when the width
     matches the requested negative count."""
 
     @property

@@ -1,89 +1,47 @@
-"""Prefetching, parallel batch pipeline: overlap batch assembly with compute.
+"""Vectorized batch pipeline: CSR-packed examples and the training loader.
 
-The training loop used to assemble every mini-batch on the main process —
-per-row Python padding, inline negative sampling — serializing input work
-with model compute.  This module provides the parallel input path:
+Training batches are assembled without per-row Python:
 
 * :class:`PackedExamples` — the example list flattened into CSR arrays so a
   mini-batch is assembled with pure NumPy gathers (no per-row Python), the
   vectorized collate shared by training, evaluation and serving-style reuse.
-* :class:`WorkerPool` — a small multiprocessing pool with heartbeat/timeout
-  detection, clean shutdown, and worker tracebacks re-raised on the main
-  process as :class:`WorkerError`.
-* :class:`PrefetchLoader` — a bounded, double-buffered loader that shuffles,
-  collates and (optionally) presamples negative candidates either in-process
-  (``num_workers=0``, the deterministic reference) or on a worker pool.
-* :func:`parallel_map` — order-stable fan-out used by the sharded ranking
-  evaluation (:func:`repro.eval.evaluator.rank_all`).
+* :class:`PrefetchLoader` — a loader that shuffles, collates and
+  (optionally) presamples negative candidates.
 
 Determinism: every batch's randomness is derived from ``(seed, epoch,
-batch_index)`` alone (:func:`batch_rng` / :func:`epoch_order`), never from
-worker identity or scheduling, so any ``num_workers`` setting yields a
-bitwise-identical batch stream for a fixed seed — satisfying the
-``SEEDED-RANDOMNESS`` discipline with explicit generators throughout.
-
-Transport: result payloads can ride a :class:`~repro.data.shm.ShmArena`
-instead of the queue's pickle path — workers write their ndarrays into a
-pre-sized shared-memory slot and only a tiny descriptor crosses the queue,
-with the parent mapping zero-copy views (or private copies for long-lived
-results).  A payload that does not fit, or arrives while every slot is
-leased, silently falls back to pickling: degraded throughput, never a
-hang.  :class:`PrefetchLoader` sizes and owns its arena automatically when
-``num_workers > 0``.
-
-Telemetry (zero-cost when disabled, one ``is None`` check per epoch): a
-``pipeline.queue_depth`` gauge, a ``pipeline.wait_seconds`` histogram of
-main-process blocking time, ``pipeline.batches`` /
-``pipeline.worker.<id>.batches`` utilization counters, and shared-memory
-transport counters (``pipeline.shm.bytes``, ``pipeline.shm.results``,
-``pipeline.shm.fallbacks``) in the session's
-:class:`~repro.obs.metrics.MetricsRegistry`.
+batch_index)`` alone (:func:`batch_rng` / :func:`epoch_order`), satisfying
+the ``SEEDED-RANDOMNESS`` discipline with explicit generators throughout.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue as queue_mod
-import time
-import traceback
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-
-from repro.obs import (TraceContext, child_telemetry_config, current_context,
-                       get_telemetry, pipeline_worker_batches)
 
 from .batching import Batch
 from .sampling import NegativeSampler
 from .schema import BehaviorSchema, PAD_ITEM
-from .shm import (DEFAULT_MIN_SHM_BYTES, ShmArena, decode_payload,
-                  encode_payload, unwrap_context, wrap_context)
 from .splits import SequenceExample
 
 __all__ = [
     "PackedExamples",
     "PrefetchLoader",
-    "WorkerError",
-    "WorkerPool",
-    "parallel_map",
     "batch_rng",
     "epoch_order",
-    "fork_available",
 ]
 
 _MASK32 = 0xFFFFFFFF
 
 
 def batch_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
-    """Generator for batch ``index`` of ``epoch`` — independent of workers.
+    """Generator for batch ``index`` of ``epoch``.
 
     The entropy is the ``(seed, epoch, index)`` triple, so the stream a batch
     draws (negative candidates today; augmentations tomorrow) is a pure
-    function of its position in the schedule, not of which process builds it
-    or in what order.  ``index`` 0 is reserved for the epoch shuffle
-    (:func:`epoch_order`); batch streams start at 1.
+    function of its position in the schedule.  ``index`` 0 is reserved for
+    the epoch shuffle (:func:`epoch_order`); batch streams start at 1.
     """
     entropy = (seed & _MASK32, epoch & _MASK32, index & _MASK32)
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -94,11 +52,6 @@ def epoch_order(seed: int, epoch: int, count: int, shuffle: bool) -> np.ndarray:
     if not shuffle:
         return np.arange(count, dtype=np.int64)
     return batch_rng(seed, epoch, 0).permutation(count).astype(np.int64, copy=False)
-
-
-def fork_available() -> bool:
-    """Whether the ``fork`` start method exists (shared-memory workers)."""
-    return "fork" in mp.get_all_start_methods()
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +105,10 @@ def _gather_padded(data: np.ndarray, indptr: np.ndarray, rows: np.ndarray,
 class PackedExamples:
     """A list of :class:`SequenceExample` flattened into contiguous arrays.
 
-    Built once per split, shared (copy-on-write under ``fork``) by every
-    worker, and collated into batches with :meth:`collate_rows` — which
-    produces batches identical to :func:`repro.data.batching.collate` on the
-    same rows but touches no per-row Python.
+    Built once per split and collated into batches with
+    :meth:`collate_rows` — which produces batches identical to
+    :func:`repro.data.batching.collate` on the same rows but touches no
+    per-row Python.
     """
 
     schema: BehaviorSchema
@@ -217,370 +170,14 @@ class PackedExamples:
 
 
 # ----------------------------------------------------------------------
-# Worker pool
-# ----------------------------------------------------------------------
-
-class WorkerError(RuntimeError):
-    """A pipeline worker crashed, timed out, or died.
-
-    ``remote_traceback`` carries the worker's formatted traceback (when the
-    exception was caught worker-side); it is embedded in ``str(error)`` so
-    the original failure reads exactly like a local one.
-    """
-
-    def __init__(self, worker_id: int, message: str,
-                 remote_traceback: str | None = None):
-        detail = message if remote_traceback is None \
-            else f"{message}\n--- worker {worker_id} traceback ---\n{remote_traceback}"
-        super().__init__(detail)
-        self.worker_id = worker_id
-        self.remote_traceback = remote_traceback
-
-
-def _worker_main(worker_id: int, factory: Callable, initargs: tuple,
-                 tasks, results, transport: ShmArena | None = None,
-                 transport_requests: bool = False,
-                 transport_min_bytes: int | None = None,
-                 telemetry_config: dict | None = None,
-                 process_role: str = "worker", generation: int = 0) -> None:
-    """Worker process entry point: build the task fn, then serve tasks.
-
-    Any exception — in the factory or per task — is caught, formatted, and
-    shipped to the main process, which re-raises it as :class:`WorkerError`.
-    With a ``transport`` arena, result ndarrays are written into a shared
-    slot and only the descriptor is queued (pickle fallback when the arena
-    cannot take the payload).  With ``transport_requests`` the *inbound*
-    payloads are shm-encoded too (the serving replicas use this); they are
-    decoded as private copies so the slot frees immediately.
-
-    Telemetry: the parent's hub (open event file, span stack) must never be
-    written from a forked child.  ``enable_worker_telemetry`` replaces it —
-    with a per-process relay spool tagged ``process_role``/``worker_id``
-    when the parent session writes to a file (``telemetry_config`` from
-    :func:`~repro.obs.events.child_telemetry_config`), or with nothing at
-    all otherwise.  Tasks that arrive wrapped in a trace context run under
-    a ``worker.task`` span parented on the remote submitter.
-    """
-    try:
-        from repro.obs import enable_worker_telemetry
-        enable_worker_telemetry(telemetry_config, process_role, worker_id,
-                                generation=generation)
-    except Exception:                                 # pragma: no cover
-        pass
-    from repro.obs import disable_telemetry, remote_context, span
-    try:
-        try:
-            fn = factory(*initargs)
-        except BaseException:
-            results.put(("error", worker_id, None, traceback.format_exc()))
-            return
-        while True:
-            task = tasks.get()
-            if task is None:
-                break
-            task_id, payload = task
-            try:
-                context, payload = unwrap_context(payload)
-                if transport_requests and transport is not None:
-                    payload, _ = decode_payload(payload, transport, copy=True)
-                if context is not None:
-                    with remote_context(context):
-                        with span("worker.task", task=task_id):
-                            value = fn(payload)
-                else:
-                    value = fn(payload)
-                if transport is not None:
-                    min_bytes = (DEFAULT_MIN_SHM_BYTES if transport_min_bytes is None
-                                 else transport_min_bytes)
-                    value = encode_payload(value, transport, min_bytes=min_bytes)
-                results.put(("ok", worker_id, task_id, value))
-            except BaseException:
-                results.put(("error", worker_id, task_id, traceback.format_exc()))
-                break
-    finally:
-        try:
-            # Flush the relay spool with a final metrics snapshot so the
-            # fleet merge sees this process's counters (no-op when the
-            # child runs with telemetry off).
-            disable_telemetry(final_snapshot=True)
-        except Exception:                             # pragma: no cover
-            pass
-
-
-class WorkerPool:
-    """A supervised pool of daemon worker processes.
-
-    Args:
-        factory: module-level callable; ``factory(*initargs)`` runs once per
-            worker and returns the per-task function (closures stay
-            worker-side, so only the factory and its args ever cross the
-            process boundary).
-        initargs: arguments for ``factory`` — inherited by reference under
-            the ``fork`` start method, pickled once per worker under spawn.
-        num_workers: pool size (at least 1).
-        timeout: seconds :meth:`next_result` waits before declaring the pool
-            wedged and raising :class:`WorkerError`; ``None`` reads the
-            ``REPRO_POOL_TIMEOUT`` environment variable (default 120).
-        start_method: multiprocessing start method; defaults to ``fork``
-            when available (shared memory, no pickling).
-        transport: optional :class:`~repro.data.shm.ShmArena` carrying result
-            ndarrays out-of-band (descriptors on the queue, zero-copy reads);
-            the caller owns the arena's lifetime.
-        transport_copy: decode shm results as private copies instead of
-            leased views — use for results that outlive the arena.
-        transport_requests: also shm-encode *task payloads* on submit (the
-            serving replica path); workers decode them as private copies so
-            the slot frees immediately.
-        transport_min_bytes: per-array floor below which payloads take the
-            pickle path; ``None`` keeps the module default (1024 B).  The
-            serving tier lowers it — request batches are small but frequent.
-        death_grace: seconds a worker may be observed dead before the pool
-            declares silent death (lets the queue feeder flush a final
-            result); ``None`` reads ``REPRO_POOL_DEATH_GRACE`` (default 2).
-        process_role: fleet-telemetry role tag for the forked workers
-            (``"loader"``, ``"ddp"``, ``"eval"``, ``"replica<N>"``...);
-            recorded on every event a worker relays to its spool.
-        generation: respawn generation tag (the serving tier bumps it each
-            time a replica is respawned so spool files never collide).
-
-    Robustness contract: a worker exception re-raises on the main process
-    with the worker's traceback embedded; a worker that dies silently (OOM
-    kill, segfault) is detected by heartbeat on a monotonic clock — the
-    grace window is configurable so loaded CI machines don't false-positive;
-    shutdown always reaps children — no orphaned processes survive
-    :meth:`close` / :meth:`terminate`.
-    """
-
-    def __init__(self, factory: Callable, initargs: tuple = (),
-                 num_workers: int = 1, timeout: float | None = None,
-                 poll_interval: float = 0.1, start_method: str | None = None,
-                 transport: ShmArena | None = None, transport_copy: bool = False,
-                 transport_requests: bool = False,
-                 transport_min_bytes: int | None = None,
-                 death_grace: float | None = None,
-                 process_role: str = "worker", generation: int = 0):
-        if num_workers < 1:
-            raise ValueError(f"need at least one worker, got {num_workers}")
-        if start_method is None:
-            start_method = "fork" if fork_available() else None
-        self._ctx = mp.get_context(start_method)
-        if timeout is None:
-            timeout = float(os.environ.get("REPRO_POOL_TIMEOUT", "120"))
-        if death_grace is None:
-            death_grace = float(os.environ.get("REPRO_POOL_DEATH_GRACE", "2"))
-        self.timeout = timeout
-        self.death_grace = death_grace
-        self.poll_interval = poll_interval
-        self._transport = transport
-        self._transport_copy = transport_copy
-        self._transport_requests = transport_requests
-        self._transport_min_bytes = transport_min_bytes
-        self.shm_bytes = 0
-        self.shm_results = 0
-        self.raw_results = 0
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        self._closed = False
-        telemetry_config = child_telemetry_config()
-        self._workers = [
-            self._ctx.Process(target=_worker_main, name=f"repro-pipeline-{i}",
-                              args=(i, factory, initargs, self._tasks,
-                                    self._results, transport,
-                                    transport_requests, transport_min_bytes,
-                                    telemetry_config, process_role,
-                                    generation),
-                              daemon=True)
-            for i in range(num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-
-    @property
-    def closed(self) -> bool:
-        """True once the pool has been shut down (gracefully or not)."""
-        return self._closed
-
-    def submit(self, task_id, payload, context=None) -> None:
-        """Enqueue one task; results arrive via :meth:`next_result`.
-
-        ``context`` overrides the trace context attached to the task (a
-        :class:`~repro.obs.TraceContext` or its packed tuple — the serving
-        tier forwards request contexts captured on other threads).  By
-        default the submitting thread's current context rides along, so a
-        worker's ``worker.task`` span parents on the span open here.
-        """
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed WorkerPool")
-        if self._transport_requests and self._transport is not None:
-            min_bytes = (DEFAULT_MIN_SHM_BYTES
-                         if self._transport_min_bytes is None
-                         else self._transport_min_bytes)
-            payload = encode_payload(payload, self._transport,
-                                     min_bytes=min_bytes)
-        if context is None:
-            current = current_context()
-            context = current.pack() if current is not None else None
-        elif isinstance(context, TraceContext):
-            context = context.pack()
-        self._tasks.put((task_id, wrap_context(payload, context)))
-
-    def workers_alive(self) -> list[bool]:
-        """Per-worker liveness (a supervisor polls this between results —
-        the heartbeat in :meth:`next_result` only fires while a result is
-        being awaited, so an idle pool needs this to notice silent death)."""
-        return [worker.is_alive() for worker in self._workers]
-
-    def next_result(self):
-        """Block for the next ``(worker_id, task_id, value)`` result.
-
-        Completion order is arbitrary — callers reorder by ``task_id``.
-        Raises :class:`WorkerError` on a worker exception (original traceback
-        embedded), on a silently-dead worker, or after ``timeout`` seconds
-        without any result (heartbeat).
-        """
-        deadline = time.monotonic() + self.timeout
-        dead_since: float | None = None
-        while True:
-            try:
-                kind, worker_id, task_id, value = self._results.get(
-                    timeout=self.poll_interval)
-            except queue_mod.Empty:
-                now = time.monotonic()
-                dead = [w for w in self._workers if not w.is_alive()]
-                if dead:
-                    # Give the queue feeder a grace window (monotonic, so a
-                    # loaded machine's wall-clock hiccups don't count) to
-                    # flush a final result/error the worker produced right
-                    # before exiting.
-                    if dead_since is None:
-                        dead_since = now
-                    if now - dead_since >= self.death_grace:
-                        exit_codes = {w.name: w.exitcode for w in dead}
-                        self.terminate()
-                        raise WorkerError(
-                            -1, f"worker died without reporting a result "
-                                f"(exit codes: {exit_codes})")
-                else:
-                    dead_since = None
-                if now > deadline:
-                    self.terminate()
-                    raise WorkerError(
-                        -1, f"no result within {self.timeout:.0f}s "
-                            "(pipeline wedged or task too slow; raise the "
-                            "loader timeout for long batches)")
-                continue
-            if kind == "error":
-                self.terminate()
-                raise WorkerError(worker_id, "worker task failed",
-                                  remote_traceback=value)
-            if self._transport is not None:
-                value, shm_nbytes = decode_payload(
-                    value, self._transport, copy=self._transport_copy)
-                if shm_nbytes:
-                    self.shm_bytes += shm_nbytes
-                    self.shm_results += 1
-                else:
-                    self.raw_results += 1
-                telemetry = get_telemetry()
-                if telemetry is not None:
-                    registry = telemetry.registry
-                    if shm_nbytes:
-                        registry.counter("pipeline.shm.bytes").inc(shm_nbytes)
-                        registry.counter("pipeline.shm.results").inc()
-                    else:
-                        registry.counter("pipeline.shm.fallbacks").inc()
-            return worker_id, task_id, value
-
-    def close(self) -> None:
-        """Graceful shutdown: sentinel every worker, join, reap stragglers."""
-        if self._closed:
-            return
-        self._closed = True
-        for _ in self._workers:
-            try:
-                self._tasks.put(None)
-            except (ValueError, OSError):             # pragma: no cover
-                break
-        self._reap(graceful_wait=5.0)
-
-    def terminate(self) -> None:
-        """Hard shutdown: terminate every worker immediately."""
-        self._closed = True
-        self._reap(graceful_wait=0.0)
-
-    def _reap(self, graceful_wait: float) -> None:
-        if graceful_wait > 0:
-            for worker in self._workers:
-                worker.join(timeout=graceful_wait)
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-        for queue in (self._tasks, self._results):
-            queue.close()
-            queue.cancel_join_thread()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):                                # pragma: no cover
-        try:
-            self.terminate()
-        except Exception:
-            pass
-
-
-def parallel_map(factory: Callable, initargs: tuple, payloads: Sequence,
-                 num_workers: int, timeout: float | None = None,
-                 start_method: str | None = None,
-                 transport: ShmArena | None = None,
-                 transport_copy: bool = True,
-                 process_role: str = "worker") -> list:
-    """Run ``factory(*initargs)(payload)`` for every payload on a pool.
-
-    Results come back **order-stable** (index-aligned with ``payloads``)
-    regardless of worker completion order.  The pool is always torn down
-    before returning — including on worker failure, where the worker's
-    traceback re-raises here as :class:`WorkerError`.  An optional
-    ``transport`` arena carries result arrays out-of-band; results are
-    decoded as private copies by default since they outlive the call.
-    """
-    if not payloads:
-        return []
-    pool = WorkerPool(factory, initargs,
-                      num_workers=min(num_workers, len(payloads)),
-                      timeout=timeout, start_method=start_method,
-                      transport=transport, transport_copy=transport_copy,
-                      process_role=process_role)
-    results: list = [None] * len(payloads)
-    try:
-        for index, payload in enumerate(payloads):
-            pool.submit(index, payload)
-        for _ in range(len(payloads)):
-            _, task_id, value = pool.next_result()
-            results[task_id] = value
-    finally:
-        pool.close()
-    return results
-
-
-# ----------------------------------------------------------------------
 # Prefetching loader
 # ----------------------------------------------------------------------
 
 def _assemble(packed: PackedExamples, sampler: NegativeSampler | None,
               negatives: int, seed: int, max_len: int | None,
               epoch: int, index: int, rows: np.ndarray) -> Batch:
-    """Build batch ``index`` of ``epoch`` — the single shared batch recipe.
-
-    Both the in-process reference mode and every worker run exactly this
-    function with randomness derived only from ``(seed, epoch, index)``,
-    which is what makes the stream independent of ``num_workers``.
-    """
+    """Build batch ``index`` of ``epoch`` with randomness derived only from
+    ``(seed, epoch, index)``."""
     batch = packed.collate_rows(rows, max_len)
     if negatives and sampler is not None:
         rng = batch_rng(seed, epoch, index + 1)
@@ -589,26 +186,12 @@ def _assemble(packed: PackedExamples, sampler: NegativeSampler | None,
     return batch
 
 
-def _prefetch_worker(packed: PackedExamples, sampler: NegativeSampler | None,
-                     negatives: int, seed: int, max_len: int | None) -> Callable:
-    """Worker factory: bind the shared state, return the per-task assembler."""
-    def build(task) -> Batch:
-        epoch, index, rows = task
-        return _assemble(packed, sampler, negatives, seed, max_len,
-                         epoch, index, rows)
-    return build
-
-
 class PrefetchLoader:
-    """Shuffled mini-batches with parallel assembly and bounded prefetch.
+    """Shuffled mini-batches assembled with vectorized CSR gathers.
 
-    The drop-in evolution of :class:`~repro.data.batching.BatchLoader` for
-    the training loop: collate (and optional negative presampling) runs on a
-    pool of worker processes while the main process spends its time in model
-    compute, with at most ``num_workers * prefetch`` batches in flight
-    (double-buffered by default).  ``num_workers=0`` assembles in-process
-    and is the deterministic reference — for a fixed ``seed`` every
-    ``num_workers`` setting yields a bitwise-identical batch stream.
+    The training loop's loader: collate (and optional negative
+    presampling) runs in-process on :class:`PackedExamples`, and for a fixed
+    ``seed`` the batch stream is a pure function of ``(seed, epoch)``.
 
     Each completed iteration advances the epoch (resettable via
     :meth:`set_epoch`), so consecutive passes see different shuffles exactly
@@ -623,33 +206,18 @@ class PrefetchLoader:
             passes set False).
         max_len: optional padding cap (defaults to per-batch max length).
         drop_last: drop the trailing partial batch.
-        num_workers: worker processes (0 = in-process reference mode).
-        prefetch: in-flight batches per worker (bounded queue depth).
         negatives: per-row negatives to presample into ``Batch.candidates``
             (0 disables; requires ``dataset``).
         dataset: interaction corpus backing the negative sampler.
         sampling_mode: ``NegativeSampler`` mode for presampling.
-        timeout: worker heartbeat timeout in seconds (``None`` = env /
-            ``REPRO_POOL_TIMEOUT`` / 120).
-        start_method: multiprocessing start method override.
-        use_shm: carry worker-built batches through a shared-memory arena
-            (zero-copy into the training loop) instead of pickling them;
-            sized automatically from the packed sequence lengths.
     """
 
     def __init__(self, examples: Sequence[SequenceExample], schema: BehaviorSchema,
                  batch_size: int, seed: int = 0, shuffle: bool = True,
                  max_len: int | None = None, drop_last: bool = False,
-                 num_workers: int = 0, prefetch: int = 2, negatives: int = 0,
-                 dataset=None, sampling_mode: str = "uniform",
-                 timeout: float | None = None, start_method: str | None = None,
-                 use_shm: bool = True):
+                 negatives: int = 0, dataset=None, sampling_mode: str = "uniform"):
         if batch_size < 1:
             raise ValueError(f"batch size must be positive, got {batch_size}")
-        if num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        if prefetch < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {prefetch}")
         if negatives < 0:
             raise ValueError(f"negatives must be >= 0, got {negatives}")
         if negatives and dataset is None:
@@ -661,45 +229,11 @@ class PrefetchLoader:
         self.shuffle = shuffle
         self.max_len = max_len
         self.drop_last = drop_last
-        self.num_workers = num_workers
-        self.prefetch = prefetch
         self.negatives = negatives
-        self.timeout = timeout
-        self.start_method = start_method
-        self.use_shm = use_shm
         self.sampler = (NegativeSampler(dataset, np.random.default_rng(0),
                                         mode=sampling_mode)
                         if negatives else None)
         self._epoch = 0
-        self._pool: WorkerPool | None = None
-        self._arena: ShmArena | None = None
-
-    def _batch_bytes_bound(self) -> int:
-        """Upper bound on one collated batch's array bytes (arena slot size).
-
-        Computed analytically from the packed CSR index pointers — the widest
-        possible padded matrix is ``batch_size`` rows at the longest sequence
-        in the split (or ``max_len`` when capped) — so the arena never needs
-        a measure-first pass and oversize fallbacks only happen if the data
-        itself changes under the loader.
-        """
-        rows = self.batch_size
-
-        def width(indptr: np.ndarray) -> int:
-            longest = int(np.diff(indptr).max()) if len(indptr) > 1 else 1
-            if self.max_len is not None:
-                longest = min(longest, self.max_len)
-            return max(longest, 1)
-
-        total = 2 * rows * 8                                # users, targets
-        for data, indptr in self.packed.behaviors.values():
-            total += rows * width(indptr) * (8 + 1)         # items + mask
-        merged_width = width(self.packed.merged_items[1])
-        total += rows * merged_width * (8 + 8 + 1)          # items/behaviors/mask
-        if self.negatives:
-            total += rows * (self.negatives + 1) * 8        # candidates
-        arrays = 5 + 2 * len(self.packed.behaviors) + (1 if self.negatives else 0)
-        return total + 64 * (arrays + 1)                    # alignment slack
 
     # -- epoch bookkeeping ---------------------------------------------
     @property
@@ -729,95 +263,9 @@ class PrefetchLoader:
     def __iter__(self) -> Iterator[Batch]:
         epoch = self._epoch
         self._epoch += 1
-        chunks = self._epoch_chunks(epoch)
-        if self.num_workers == 0:
-            return self._iter_inprocess(epoch, chunks)
-        return self._iter_parallel(epoch, chunks)
+        return self._iter_epoch(epoch, self._epoch_chunks(epoch))
 
-    def _iter_inprocess(self, epoch: int, chunks: list[np.ndarray]) -> Iterator[Batch]:
+    def _iter_epoch(self, epoch: int, chunks: list[np.ndarray]) -> Iterator[Batch]:
         for index, rows in enumerate(chunks):
             yield _assemble(self.packed, self.sampler, self.negatives, self.seed,
                             self.max_len, epoch, index, rows)
-
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None or self._pool.closed:
-            # The arena is recreated together with the pool: a crashed pool
-            # may have lost in-flight slot leases, and a fresh free list is
-            # cheaper than auditing the old one.
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
-            if self.use_shm:
-                # Slots for every in-flight task, the batch currently held
-                # by the consumer, and margin for batches the consumer keeps
-                # alive briefly after yielding the next one.
-                slots = max(self.num_workers * self.prefetch, 2) + 4
-                self._arena = ShmArena(self._batch_bytes_bound(), slots)
-            self._pool = WorkerPool(
-                _prefetch_worker,
-                (self.packed, self.sampler, self.negatives, self.seed, self.max_len),
-                num_workers=self.num_workers, timeout=self.timeout,
-                start_method=self.start_method, transport=self._arena,
-                process_role="loader")
-        return self._pool
-
-    def _iter_parallel(self, epoch: int, chunks: list[np.ndarray]) -> Iterator[Batch]:
-        pool = self._ensure_pool()
-        capacity = max(self.num_workers * self.prefetch, 2)
-        telemetry = get_telemetry()
-        registry = telemetry.registry if telemetry is not None else None
-        ready: dict[int, Batch] = {}
-        submitted = emitted = 0
-        try:
-            while emitted < len(chunks):
-                while (submitted < len(chunks)
-                       and submitted - emitted < capacity):
-                    pool.submit(submitted, (epoch, submitted, chunks[submitted]))
-                    submitted += 1
-                if emitted in ready:
-                    batch = ready.pop(emitted)
-                    emitted += 1
-                    if registry is not None:
-                        registry.gauge("pipeline.queue_depth").set(len(ready))
-                    yield batch
-                    continue
-                started = time.perf_counter()
-                worker_id, task_id, batch = pool.next_result()
-                if registry is not None:
-                    registry.histogram("pipeline.wait_seconds").record(
-                        time.perf_counter() - started)
-                    registry.counter("pipeline.batches").inc()
-                    registry.counter(pipeline_worker_batches(worker_id)).inc()
-                    registry.gauge("pipeline.queue_depth").set(len(ready) + 1)
-                ready[task_id] = batch
-        finally:
-            # Abandoned mid-epoch (consumer broke out): drain what is still
-            # in flight so the pool stays clean for the next epoch.
-            if not pool.closed:
-                for _ in range(submitted - emitted - len(ready)):
-                    try:
-                        pool.next_result()
-                    except WorkerError:
-                        break
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """Shut the worker pool down (no-op for the in-process mode)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
-
-    def __enter__(self) -> "PrefetchLoader":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):                                # pragma: no cover
-        try:
-            self.close()
-        except Exception:
-            pass

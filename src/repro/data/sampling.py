@@ -119,13 +119,13 @@ class NegativeSampler:
         batch is drawn with matrix-shaped generator calls and filtered with
         one searchsorted pass over row-keyed ids (``row * (num_items + 1) +
         item`` turns per-row membership into a single sorted lookup), so no
-        per-item Python runs — this is the path the prefetching pipeline's
-        workers use.  Rows are statistically equivalent to :meth:`sample`
+        per-item Python runs — this is the path
+        :class:`~repro.data.pipeline.PrefetchLoader` uses.  Rows are statistically equivalent to :meth:`sample`
         but not bitwise-identical to it (different rejection order).
 
         ``rng`` overrides the sampler's generator (the pipeline passes a
-        per-(epoch, batch) generator to keep worker scheduling out of the
-        randomness).
+        per-(epoch, batch) generator so a batch's negatives depend only on
+        its position in the schedule).
         """
         rng = self.rng if rng is None else rng
         users = np.asarray(users, dtype=np.int64)

@@ -3,21 +3,6 @@
 The model contract (see :class:`repro.baselines.base.SequentialRecommender`):
 ``score_candidates(batch, candidates)`` returns a ``(B, C)`` score tensor for
 the ``(B, C)`` candidate item-id matrix, higher = more likely next item.
-
-Both :func:`precollate` and :func:`rank_all` accept ``num_workers`` to shard
-their work across a :class:`repro.data.pipeline.WorkerPool` — batch assembly
-and candidate scoring partition over evaluation users with an order-stable
-merge, so the sharded path reproduces the serial ranks exactly.  Collated
-shards come back through a shared-memory arena (descriptors on the queue)
-instead of the pickle path.
-
-For per-epoch validation inside a training loop, :class:`EvalShardPool`
-keeps the worker pool alive *across* ranking passes — the per-call pools
-above pay a fork + teardown per evaluation, which is exactly the overhead
-that made sharded evaluation slower than serial at small scale.  Workers
-hold a forked model replica and resynchronize parameters from a
-version-stamped :class:`~repro.data.shm.ShmParamMirror` before scoring, so
-each pass ranks with the parent's current weights.
 """
 
 from __future__ import annotations
@@ -25,73 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.batching import collate
-from repro.data.pipeline import WorkerPool, fork_available, parallel_map
 from repro.data.schema import BehaviorSchema
-from repro.data.shm import ShmArena, ShmParamMirror
 from repro.data.splits import SequenceExample
 from repro.nn.tensor import no_grad
-from repro.obs import get_logger, span
+from repro.obs import span
 
 from .metrics import MetricReport, ranks_from_scores
 from .protocol import CandidateSets
 
-__all__ = ["evaluate_ranking", "rank_all", "precollate", "EvalShardPool"]
-
-_log = get_logger(__name__)
-
-
-def _use_workers(num_workers: int, task_count: int) -> bool:
-    """Whether sharding is worth it (and safe) for this call.
-
-    Worker shards inherit the model / example list by reference via the
-    ``fork`` start method; without fork we would have to pickle live model
-    state mid-evaluation, so the sharded path degrades to serial instead.
-    """
-    if num_workers <= 0 or task_count <= 1:
-        return False
-    if not fork_available():
-        _log.warning("fork start method unavailable; evaluating serially")
-        return False
-    return True
-
-
-def _collate_shard(examples: list, candidate_sets: CandidateSets,
-                   schema: BehaviorSchema):
-    """Worker factory: collate one index chunk per task."""
-    def build(chunk_idx: np.ndarray):
-        batch = collate([examples[i] for i in chunk_idx], schema)
-        return batch, candidate_sets.slice(chunk_idx)
-    return build
-
-
-def _collate_bytes_bound(examples: list, candidate_sets: CandidateSets,
-                         schema: BehaviorSchema, batch_size: int) -> int:
-    """Upper bound on one collated ``(batch, candidates)`` shard's bytes.
-
-    Sized analytically from the longest sequences in the split so the arena
-    never needs a measure-first pass (left-padded matrices are
-    ``batch_size × longest``, int64 items plus bool masks).
-    """
-    longest_behavior = {behavior: 1 for behavior in schema.behaviors}
-    longest_merged = 1
-    for example in examples:
-        for behavior in schema.behaviors:
-            longest_behavior[behavior] = max(longest_behavior[behavior],
-                                             len(example.inputs[behavior]))
-        longest_merged = max(longest_merged, len(example.merged_items))
-    rows = batch_size
-    total = 2 * rows * 8                                    # users, targets
-    for width in longest_behavior.values():
-        total += rows * width * (8 + 1)                     # items + mask
-    total += rows * longest_merged * (8 + 8 + 1)            # merged triple
-    total += rows * candidate_sets.candidates.shape[1] * 8  # candidate matrix
-    arrays = 6 + 2 * len(schema.behaviors)
-    return total + 64 * (arrays + 1)
+__all__ = ["evaluate_ranking", "rank_all", "precollate"]
 
 
 def precollate(examples: list[SequenceExample], candidate_sets: CandidateSets,
-               schema: BehaviorSchema, batch_size: int = 128,
-               num_workers: int = 0) -> list[tuple]:
+               schema: BehaviorSchema, batch_size: int = 128) -> list[tuple]:
     """Pre-collate evaluation batches for repeated ranking passes.
 
     Returns ``[(batch, candidates), ...]`` chunks ready for
@@ -99,42 +30,19 @@ def precollate(examples: list[SequenceExample], candidate_sets: CandidateSets,
     fixed for the lifetime of a split, so a trainer that evaluates every
     epoch can collate once and pass the result to :func:`rank_all` via
     ``precollated=`` instead of re-building identical batches each time.
-    ``num_workers > 0`` assembles the chunks on a worker pool (order-stable,
-    identical output to the serial path).
     """
     if len(examples) != len(candidate_sets):
         raise ValueError("examples and candidate sets are misaligned")
     chunks = [np.arange(start, min(start + batch_size, len(examples)))
               for start in range(0, len(examples), batch_size)]
-    if _use_workers(num_workers, len(chunks)):
-        # Collated shards are mostly batch arrays — route them through a
-        # shared-memory arena (decoded as private copies, since precollated
-        # batches live for the whole training run).
-        with ShmArena(_collate_bytes_bound(examples, candidate_sets, schema,
-                                           batch_size),
-                      num_slots=num_workers * 2 + 2) as arena:
-            return parallel_map(_collate_shard, (examples, candidate_sets, schema),
-                                chunks, num_workers=num_workers,
-                                transport=arena, transport_copy=True,
-                                process_role="eval")
-    build = _collate_shard(examples, candidate_sets, schema)
-    return [build(chunk_idx) for chunk_idx in chunks]
-
-
-def _rank_shard(model, batches: list[tuple]):
-    """Worker factory: score one precollated batch per task (by index)."""
-    def score(index: int) -> np.ndarray:
-        batch, candidates = batches[index]
-        with no_grad():
-            scores = model.score_candidates(batch, candidates)
-        return ranks_from_scores(scores.numpy())
-    return score
+    return [(collate([examples[i] for i in chunk_idx], schema),
+             candidate_sets.slice(chunk_idx))
+            for chunk_idx in chunks]
 
 
 def rank_all(model, examples: list[SequenceExample], candidate_sets: CandidateSets,
              schema: BehaviorSchema, batch_size: int = 128,
-             precollated: list[tuple] | None = None,
-             num_workers: int = 0) -> np.ndarray:
+             precollated: list[tuple] | None = None) -> np.ndarray:
     """Compute the positive item's rank for every example.
 
     Returns an ``(N,)`` int array of 0-based ranks; input ordering preserved.
@@ -142,30 +50,20 @@ def rank_all(model, examples: list[SequenceExample], candidate_sets: CandidateSe
     The model's train/eval mode is restored on exit rather than forced to
     train mode: evaluating an already-eval model must not flip it back to
     training (which would, e.g., invalidate cached inference tables).
-
-    With ``num_workers > 0`` batches are scored on a worker pool: the first
-    batch runs on the main process (in eval mode, priming any lazily-built
-    inference caches before the fork), the rest fan out, and shard results
-    merge back in batch order — bitwise-identical ranks to the serial path.
     """
     with span("eval.rank_all", examples=len(examples),
-              model=type(model).__name__, num_workers=num_workers):
+              model=type(model).__name__):
         if precollated is None:
             precollated = precollate(examples, candidate_sets, schema,
-                                     batch_size=batch_size, num_workers=num_workers)
+                                     batch_size=batch_size)
         was_training = bool(getattr(model, "training", False))
         model.eval()
+        ranks = []
         try:
-            score = _rank_shard(model, precollated)
-            if _use_workers(num_workers, len(precollated)):
-                first = score(0)
-                rest = parallel_map(_rank_shard, (model, precollated),
-                                    list(range(1, len(precollated))),
-                                    num_workers=num_workers,
-                                    process_role="eval")
-                ranks = [first, *rest]
-            else:
-                ranks = [score(index) for index in range(len(precollated))]
+            for batch, candidates in precollated:
+                with no_grad():
+                    scores = model.score_candidates(batch, candidates)
+                ranks.append(ranks_from_scores(scores.numpy()))
         finally:
             if was_training:
                 model.train()
@@ -175,105 +73,8 @@ def rank_all(model, examples: list[SequenceExample], candidate_sets: CandidateSe
 def evaluate_ranking(model, examples: list[SequenceExample], candidate_sets: CandidateSets,
                      schema: BehaviorSchema, ks: tuple[int, ...] = (5, 10, 20),
                      batch_size: int = 128,
-                     precollated: list[tuple] | None = None,
-                     num_workers: int = 0) -> MetricReport:
+                     precollated: list[tuple] | None = None) -> MetricReport:
     """Full sampled-ranking evaluation → HR@K / NDCG@K / MRR report."""
     ranks = rank_all(model, examples, candidate_sets, schema, batch_size=batch_size,
-                     precollated=precollated, num_workers=num_workers)
+                     precollated=precollated)
     return MetricReport.from_ranks(ranks, ks=ks)
-
-
-def _mirror_rank_shard(model, batches: list[tuple], mirror: ShmParamMirror):
-    """Worker factory for :class:`EvalShardPool`: sync params, then score.
-
-    On the first task after the parent publishes new weights, the replica
-    reloads its parameters and cycles ``train()``/``eval()`` so any
-    eval-only inference caches (e.g. MISSL's item table) built against the
-    stale weights are dropped and lazily rebuilt.
-    """
-    model.eval()
-    buffer = np.empty(mirror.count, dtype=mirror.dtype)
-
-    def score(index: int) -> np.ndarray:
-        if mirror.refresh(buffer):
-            model.load_parameter_vector(buffer)
-            model.train()
-            model.eval()
-        batch, candidates = batches[index]
-        with no_grad():
-            scores = model.score_candidates(batch, candidates)
-        return ranks_from_scores(scores.numpy())
-    return score
-
-
-class EvalShardPool:
-    """A persistent sharded ranking pool for repeated evaluation passes.
-
-    :func:`rank_all`'s per-call sharding forks and tears down a pool every
-    evaluation — at per-epoch validation scale that fixed cost outweighs the
-    parallel scoring win.  This pool forks **once** over the precollated
-    validation batches (inherited by reference), and each :meth:`rank_all`
-    call publishes the model's current parameters through a
-    :class:`~repro.data.shm.ShmParamMirror` before fanning out, so workers
-    score with the weights the parent holds *now*.  Results merge
-    order-stably: ranks are bitwise-identical to the serial path.
-
-    Args:
-        model: the live (parent) model; workers fork replicas at init.
-        precollated: ``[(batch, candidates), ...]`` from :func:`precollate`.
-        num_workers: shard worker count (capped at the batch count).
-        timeout: worker heartbeat timeout (``None`` = env default).
-    """
-
-    def __init__(self, model, precollated: list[tuple], num_workers: int,
-                 timeout: float | None = None):
-        if num_workers < 1:
-            raise ValueError(f"need at least one worker, got {num_workers}")
-        if not precollated:
-            raise ValueError("no precollated batches to rank")
-        if not fork_available():
-            raise RuntimeError("EvalShardPool requires the fork start method")
-        self.model = model
-        self.num_batches = len(precollated)
-        self.num_workers = min(num_workers, self.num_batches)
-        flat = model.parameter_vector()
-        self._mirror = ShmParamMirror(flat.size, dtype=flat.dtype)
-        self._mirror.publish(flat)
-        self._pool = WorkerPool(
-            _mirror_rank_shard, (model, precollated, self._mirror),
-            num_workers=self.num_workers, timeout=timeout,
-            process_role="eval")
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` ran (the pool cannot rank again)."""
-        return self._pool.closed
-
-    def rank_all(self) -> np.ndarray:
-        """Rank every precollated batch with the model's current weights."""
-        with span("eval.rank_all", model=type(self.model).__name__,
-                  num_workers=self.num_workers, persistent=True):
-            self.model.parameter_vector(out=self._mirror.data)
-            self._mirror.publish()
-            for index in range(self.num_batches):
-                self._pool.submit(index, index)
-            ranks: list = [None] * self.num_batches
-            for _ in range(self.num_batches):
-                _, index, value = self._pool.next_result()
-                ranks[index] = value
-        return np.concatenate(ranks)
-
-    def evaluate(self, ks: tuple[int, ...] = (5, 10, 20)) -> MetricReport:
-        """Full HR@K / NDCG@K / MRR report from one sharded ranking pass."""
-        return MetricReport.from_ranks(self.rank_all(), ks=ks)
-
-    def close(self) -> None:
-        """Tear down the worker pool and the parameter mirror (idempotent)."""
-        self._pool.close()
-        self._mirror.close()
-
-    def __enter__(self) -> "EvalShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -31,16 +31,13 @@ __all__ = [
 
 def train_and_evaluate(model, context: ExperimentContext, epochs: int = 15,
                        batch_size: int = 128, patience: int = 3, seed: int = 0,
-                       callbacks: tuple = (), num_workers: int = 0,
-                       prefetch: int = 2, data_parallel: bool = False,
-                       grad_shards: int = 4,
+                       callbacks: tuple = (),
                        ) -> tuple[MetricReport, float]:
     """Fit (if trainable) and test-evaluate one model; returns (report, seconds)."""
     start = time.perf_counter()
     if model.parameters():
         config = TrainConfig(epochs=epochs, batch_size=batch_size, patience=patience,
-                             seed=seed, num_workers=num_workers, prefetch=prefetch,
-                             data_parallel=data_parallel, grad_shards=grad_shards)
+                             seed=seed)
         Trainer(model, context.split, config, callbacks=callbacks).fit()
     report = evaluate_ranking(model, context.split.test, context.test_candidates,
                               context.dataset.schema, ks=(5, 10, 20))

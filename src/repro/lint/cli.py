@@ -77,11 +77,7 @@ def run_lint(args) -> int:
                 print(f"no such baseline: {baseline_path}", file=sys.stderr)
                 return 2
 
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        print(f"--jobs must be >= 1, got {jobs}", file=sys.stderr)
-        return 2
-    result = lint_paths(paths, rules=rules, baseline=baseline, jobs=jobs)
+    result = lint_paths(paths, rules=rules, baseline=baseline)
 
     if args.write_baseline:
         target = baseline_path or (paths[0].resolve() / "lint-baseline.json")

@@ -1,16 +1,12 @@
-"""``repro.lint.flow`` — flow-sensitive, interprocedural analysis layer.
+"""``repro.lint.flow`` — interprocedural analysis layer.
 
-Three building blocks and the rules on top:
+Two building blocks and the rules on top:
 
-- :mod:`.cfg` — per-function control-flow graphs (basic blocks, with/try
-  desugaring, early-exit routing through cleanups).
 - :mod:`.callgraph` — the project call graph with containment-aware
   resolution (imports, ``self`` methods, typed attributes and locals).
-- :mod:`.lifecycle` — forward may-analyses over the CFG: acquire/release
-  pair tracking and generic per-step state queries.
-- :mod:`.rules` — ``LEASE-BALANCE``, ``LOCK-DISCIPLINE``, ``LOCK-ORDER``,
-  ``FORK-SAFETY``, ``ASYNC-BLOCKING``, registered into the shared
-  :mod:`repro.lint` catalog as project-scoped rules.
+- :mod:`.rules` — ``LOCK-DISCIPLINE``, ``LOCK-ORDER``, ``ASYNC-BLOCKING``,
+  registered into the shared :mod:`repro.lint` catalog as project-scoped
+  rules.
 
 The runtime companion — the lock-order watchdog that checks the *dynamic*
 acquisition graph — lives in :mod:`repro.obs.lockwatch`; see
@@ -19,14 +15,10 @@ acquisition graph — lives in :mod:`repro.obs.lockwatch`; see
 
 from .callgraph import (CallGraph, CallSite, ClassInfo, FunctionInfo,
                         build_call_graph, project_call_graph)
-from .cfg import CFG, Block, WithEnter, WithExit, build_cfg
-from .lifecycle import Resource, find_leaks, run_forward, step_states
 from . import rules  # noqa: F401  (importing registers the flow rules)
 
 __all__ = [
-    "CFG", "Block", "WithEnter", "WithExit", "build_cfg",
     "CallGraph", "CallSite", "ClassInfo", "FunctionInfo",
     "build_call_graph", "project_call_graph",
-    "Resource", "find_leaks", "run_forward", "step_states",
     "rules",
 ]

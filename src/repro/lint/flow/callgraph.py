@@ -2,8 +2,8 @@
 
 The interprocedural flow rules need to answer "what does this call reach?"
 across module boundaries: a call inside ``async def`` handlers must not
-transitively hit blocking IO, a critical section must not transitively
-acquire a second lock, a constructor call may transitively fork workers.
+transitively hit blocking IO, and a critical section must not transitively
+acquire a second lock.
 
 :func:`build_call_graph` indexes every linted file once and resolves call
 expressions with the containment the codebase actually uses:
@@ -63,7 +63,7 @@ class CallSite:
 class FunctionInfo:
     """One function or method in the project."""
 
-    qname: str                  # e.g. "repro.serve.net._Replica.call"
+    qname: str                  # e.g. "repro.serve.net.NetServer.drain"
     module: str
     cls: str | None
     name: str

@@ -1,26 +1,18 @@
-"""The flow-sensitive rule catalog: locks, leases, forks, async blocking.
+"""The flow-sensitive rule catalog: locks and async blocking.
 
-Five project-scoped rules built on the CFG (:mod:`.cfg`), the call graph
-(:mod:`.callgraph`) and the lifecycle interpreter (:mod:`.lifecycle`).
+Three project-scoped rules built on the call graph (:mod:`.callgraph`).
 They run once over the whole linted tree (``check_project``), sharing one
 call graph through the :class:`~repro.lint.framework.ProjectContext`
 cache:
 
-* ``LEASE-BALANCE`` — a :class:`~repro.data.shm.ShmArena` /
-  ``ShmParamMirror`` acquired by a consumer must be released on every
-  explicit path out of the function (``close()`` in a ``finally``, a
-  ``with`` block, or ownership stored on an object / returned).
 * ``LOCK-DISCIPLINE`` — locks are acquired with ``with`` only (no bare
   ``.acquire()``), and no blocking operation (``time.sleep``, socket or
-  file IO, queue get/put, ``WorkerPool``/batcher submission) runs while a
-  lock is held — directly or through the call graph.  Waiting on the very
+  file IO, queue get/put, pool/batcher submission) runs while a lock is
+  held — directly or through the call graph.  Waiting on the very
   condition/lock object being held is the sanctioned condition-variable
   idiom and exempt.
 * ``LOCK-ORDER`` — the static lock-acquisition graph (lock held → lock
   acquired inside, transitively through calls) must be acyclic.
-* ``FORK-SAFETY`` — fork-based ``WorkerPool`` construction happens only in
-  sanctioned modules; nothing starts threads or takes locks at import
-  time; and no path inside a function starts a thread *before* forking.
 * ``ASYNC-BLOCKING`` — a non-awaited call inside ``async def`` must not
   resolve (transitively) to blocking IO; blocking work crosses the
   executor boundary via ``run_in_executor``.
@@ -37,14 +29,10 @@ from typing import Iterator
 from ..framework import FileContext, Finding, ProjectContext, register
 from .callgraph import (CallGraph, CallSite, ClassInfo, FunctionInfo,
                         project_call_graph)
-from .cfg import WithEnter, WithExit, build_cfg
-from .lifecycle import find_leaks, step_states
 
 __all__ = [
-    "LeaseBalanceRule",
     "LockDisciplineRule",
     "LockOrderRule",
-    "ForkSafetyRule",
     "AsyncBlockingRule",
 ]
 
@@ -67,7 +55,6 @@ def _terminal_name(expr: ast.AST) -> str | None:
 _LOCK_NAME_FRAGMENTS = ("lock", "mutex", "cond", "wake")
 _LOCK_CTORS = frozenset({
     "threading.Lock", "threading.RLock", "threading.Condition",
-    "multiprocessing.Lock", "multiprocessing.RLock",
     "repro.obs.lockwatch.watched_lock", "repro.obs.lockwatch.watched_rlock",
     "watched_lock", "watched_rlock",
 })
@@ -113,7 +100,7 @@ _BLOCKING_DOTTED = frozenset({
 })
 _BLOCKING_METHODS = frozenset({
     "recv", "recv_into", "recvfrom", "recvfrom_into", "recvmsg",
-    "sendall", "accept", "next_result",
+    "sendall", "accept",
 })
 # Receiver-conditioned methods: the method name alone is too generic
 # (dict.get, str.join, ...), so the receiver must look like the real thing.
@@ -181,59 +168,6 @@ def _calls_in(node: ast.AST) -> Iterator[ast.Call]:
         if isinstance(child, ast.Call):
             yield child
         stack.extend(ast.iter_child_nodes(child))
-
-
-# -- LEASE-BALANCE ------------------------------------------------------------
-
-_LEASE_CTORS = {
-    "repro.data.shm.ShmArena": "ShmArena",
-    "repro.data.shm.ShmParamMirror": "ShmParamMirror",
-}
-
-
-@register
-class LeaseBalanceRule:
-    """Shm arenas/mirrors acquired by consumers are released on all paths."""
-
-    rule_id = "LEASE-BALANCE"
-    description = ("ShmArena/ShmParamMirror acquired outside repro.data.shm "
-                   "must be closed on every path (finally/with) or stored "
-                   "on an owner — a leaked arena pins /dev/shm segments")
-
-    HOME_MODULE = "repro.data.shm"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        graph = project_call_graph(project)
-        for info in graph.iter_functions():
-            if not _in_repro(info.module) or info.module == self.HOME_MODULE:
-                continue
-            sites = _sites_by_node(info)
-            if not any(site.dotted in _LEASE_CTORS for site in info.calls):
-                continue
-
-            def acquire_kind(call: ast.Call) -> str | None:
-                site = sites.get(id(call))
-                if site is not None and site.dotted in _LEASE_CTORS:
-                    return _LEASE_CTORS[site.dotted]
-                return None
-
-            cfg = build_cfg(info.node)
-            leaked, anonymous = find_leaks(cfg, acquire_kind)
-            ctx: FileContext = info.ctx
-            for res in leaked:
-                node = next((s.node for s in info.calls
-                             if s.node.lineno == res.line
-                             and s.dotted in _LEASE_CTORS), info.node)
-                yield ctx.finding(
-                    self.rule_id, node,
-                    f"{res.kind} bound to {res.var!r} is not released on "
-                    f"every path out of {info.qname} — close() it in a "
-                    "finally, use a with block, or store it on an owner")
-            for call in anonymous:
-                yield ctx.finding(
-                    self.rule_id, call,
-                    "anonymous ShmArena/ShmParamMirror acquisition — bind "
-                    "it to a name (or use with) so it can be released")
 
 
 # -- LOCK-DISCIPLINE ----------------------------------------------------------
@@ -458,190 +392,6 @@ class LockOrderRule:
             return None
 
         return dfs(start)
-
-
-# -- FORK-SAFETY --------------------------------------------------------------
-
-_FORK_CTORS = frozenset({
-    "repro.data.pipeline.WorkerPool",
-    "multiprocessing.Process", "multiprocessing.get_context",
-})
-_THREADISH_FRAGMENTS = ("thread", "collector", "supervisor")
-
-
-@register
-class ForkSafetyRule:
-    """Fork in sanctioned modules only; never after starting threads."""
-
-    rule_id = "FORK-SAFETY"
-    description = ("fork-based WorkerPool construction is confined to "
-                   "sanctioned modules, import time must not start threads "
-                   "or take locks, and no path may start a thread before "
-                   "forking — forked children inherit poisoned locks")
-
-    SANCTIONED = ("repro.data.pipeline", "repro.train.ddp",
-                  "repro.serve.net", "repro.eval.evaluator")
-
-    def _forks_directly(self, graph: CallGraph):
-        def pred(info: FunctionInfo):
-            for site in info.calls:
-                if site.dotted in _FORK_CTORS:
-                    return site.dotted
-            return None
-        return pred
-
-    def _is_thread_start(self, call: ast.Call, cls: ClassInfo | None,
-                         local_threads: set[str]) -> bool:
-        func = call.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "start"):
-            return False
-        receiver = func.value
-        name = _terminal_name(receiver)
-        if name in local_threads:
-            return True
-        if (cls is not None and isinstance(receiver, ast.Attribute)
-                and isinstance(receiver.value, ast.Name)
-                and receiver.value.id == "self"):
-            ctor = cls.attr_ctors.get(receiver.attr, "")
-            if ctor.split(".")[-1] == "Thread":
-                return True
-        return name is not None and any(f in name.lower()
-                                        for f in _THREADISH_FRAGMENTS)
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        graph = project_call_graph(project)
-        forks_pred = self._forks_directly(graph)
-        yield from self._check_import_time(project)
-        for info in graph.iter_functions():
-            if not _in_repro(info.module):
-                continue
-            ctx: FileContext = info.ctx
-            sites = _sites_by_node(info)
-            sanctioned = any(info.module == m or info.module.startswith(m + ".")
-                             for m in self.SANCTIONED)
-
-            def fork_reason(call: ast.Call) -> str | None:
-                site = sites.get(id(call))
-                if site is None:
-                    return None
-                if site.dotted in _FORK_CTORS:
-                    return site.dotted
-                if site.target is not None:
-                    path = graph.find_path(site.target, forks_pred)
-                    if path is not None:
-                        return " -> ".join(q for q, _ in path)
-                return None
-
-            # (a) containment: direct fork construction outside sanctioned
-            # modules.
-            if not sanctioned:
-                for site in info.calls:
-                    if site.dotted in _FORK_CTORS:
-                        yield ctx.finding(
-                            self.rule_id, site.node,
-                            f"{site.dotted} constructed in {info.module} — "
-                            "fork-based pools are confined to "
-                            f"{', '.join(self.SANCTIONED)} (route through "
-                            "parallel_map or an engine there)")
-
-            # (b) ordering: a thread started on some path before a fork.
-            cls = graph.classes.get(f"{info.module}.{info.cls}") \
-                if info.cls else None
-            local_threads = {
-                stmt.targets[0].id
-                for stmt in ast.walk(info.node)
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-                and (_terminal_name(stmt.value.func) == "Thread")}
-            has_start = any(self._is_thread_start(c, cls, local_threads)
-                            for c in _calls_in(info.node))
-            if not has_start:
-                continue
-            may_fork = any(fork_reason(s.node) is not None
-                           for s in info.calls)
-            if not may_fork:
-                continue
-
-            cfg = build_cfg(info.node)
-
-            def transfer(step, state: frozenset) -> frozenset:
-                if isinstance(step, ast.AST):
-                    for call in _calls_in_step(step):
-                        if self._is_thread_start(call, cls, local_threads):
-                            return state | {"thread-started"}
-                return state
-
-            for step, state in step_states(cfg, transfer):
-                if "thread-started" not in state:
-                    continue
-                if not isinstance(step, ast.AST):
-                    continue
-                for call in _calls_in_step(step):
-                    reason = fork_reason(call)
-                    if reason is not None:
-                        yield ctx.finding(
-                            self.rule_id, call,
-                            f"fork ({reason}) on a path where a thread was "
-                            "already started — the forked child inherits "
-                            "whatever locks that thread holds, frozen "
-                            "forever; fork first, start threads after")
-
-    def _check_import_time(self, project: ProjectContext
-                           ) -> Iterator[Finding]:
-        for ctx in project.files:
-            if not _in_repro(ctx.module):
-                continue
-            for stmt in self._import_time_stmts(ctx.tree):
-                for call in _calls_in_step(stmt):
-                    func = call.func
-                    if not isinstance(func, ast.Attribute):
-                        continue
-                    receiver = (_terminal_name(func.value) or "").lower()
-                    if func.attr == "start" and any(
-                            f in receiver for f in _THREADISH_FRAGMENTS):
-                        yield ctx.finding(
-                            self.rule_id, call,
-                            "thread started at import time — importing this "
-                            "module from a process that later forks "
-                            "poisons every child")
-                    elif (func.attr == "acquire"
-                          and _lockish_name(_terminal_name(func.value))):
-                        yield ctx.finding(
-                            self.rule_id, call,
-                            "lock acquired at import time — a fork while "
-                            "any import holds it deadlocks the child")
-
-    @staticmethod
-    def _import_time_stmts(tree: ast.Module) -> Iterator[ast.stmt]:
-        """Module-body statements that execute at import, including class
-        bodies but excluding function bodies."""
-        stack: list[ast.stmt] = list(tree.body)
-        while stack:
-            stmt = stack.pop()
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield stmt
-            for body_attr in ("body", "orelse", "finalbody"):
-                stack.extend(getattr(stmt, body_attr, []) or [])
-            for handler in getattr(stmt, "handlers", []) or []:
-                stack.extend(handler.body)
-
-
-def _calls_in_step(step: ast.AST) -> Iterator[ast.Call]:
-    """Calls within one statement, not descending into nested defs; for
-    compound statements only the header expressions execute as this step."""
-    if isinstance(step, (ast.If, ast.While)):
-        yield from _calls_in(step.test)
-        return
-    if isinstance(step, (ast.For, ast.AsyncFor)):
-        yield from _calls_in(step.iter)
-        return
-    if isinstance(step, (ast.With, ast.AsyncWith, ast.Try)):
-        return
-    if isinstance(step, ast.Call):
-        yield step
-    yield from _calls_in(step)
 
 
 # -- ASYNC-BLOCKING -----------------------------------------------------------

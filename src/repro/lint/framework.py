@@ -278,32 +278,9 @@ def _parse_file(path: Path) -> tuple[FileContext | None, str | None]:
                        display_path=str(path)), None
 
 
-def _lint_worker(rule_ids_selected: tuple[str, ...]):
-    """Worker factory for ``--jobs``: parse + run file rules on one path.
-
-    Returns a picklable payload per file — the parse error or the parsed
-    tree (AST nodes pickle) plus that file's findings — so the parent can
-    rebuild :class:`FileContext` objects for the project rules without
-    re-parsing, and merge findings in input order (``parallel_map`` is
-    order-stable, keeping output identical to the serial path).
-    """
-    selected = [_REGISTRY[rule_id] for rule_id in rule_ids_selected]
-
-    def analyze(path_str: str):
-        ctx, error = _parse_file(Path(path_str))
-        if error is not None:
-            return {"error": error}
-        findings = [finding for rule in selected
-                    for finding in rule.check(ctx)]
-        return {"error": None, "source": ctx.source, "tree": ctx.tree,
-                "module": ctx.module, "findings": findings}
-
-    return analyze
-
-
 def lint_paths(paths: Sequence[str | Path],
                rules: Sequence[Rule] | None = None,
-               baseline=None, jobs: int = 1) -> LintResult:
+               baseline=None) -> LintResult:
     """Lint files/directories and classify findings against ``baseline``.
 
     Args:
@@ -311,12 +288,6 @@ def lint_paths(paths: Sequence[str | Path],
             for ``*.py``).
         rules: rules to run; defaults to the full registry.
         baseline: a :class:`repro.lint.baseline.Baseline` or None.
-        jobs: with ``jobs > 1``, fan per-file parsing and file-scoped rules
-            out over a :func:`repro.data.pipeline.parallel_map` worker pool
-            (project rules still run once, in the parent, over the full
-            tree).  Output ordering and exit semantics are identical to
-            the serial path; without fork support this falls back to
-            serial.
     """
     active = tuple(rules) if rules is not None else all_rules()
     file_rules = tuple(r for r in active if not is_project_rule(r))
@@ -336,39 +307,17 @@ def lint_paths(paths: Sequence[str | Path],
     contexts: list[FileContext] = []
     suppressions: dict[str, dict[int, set[str]]] = {}
 
-    if jobs > 1:
-        from repro.data.pipeline import fork_available, parallel_map
-        if not fork_available():  # pragma: no cover - platform dependent
-            jobs = 1
-    if jobs > 1 and files:
-        reports = parallel_map(
-            _lint_worker, (tuple(r.rule_id for r in file_rules),),
-            [str(p) for p in files], num_workers=min(jobs, len(files)),
-            process_role="lint")
-        for path, report in zip(files, reports):
-            if report["error"] is not None:
-                result.errors.append(report["error"])
-                continue
-            ctx = FileContext(path=path, source=report["source"],
-                              tree=report["tree"], module=report["module"],
-                              display_path=str(path))
-            contexts.append(ctx)
-            suppressed = suppressions_for(ctx.source)
-            suppressions[ctx.display_path] = suppressed
-            for finding in report["findings"]:
+    for path in files:
+        ctx, error = _parse_file(path)
+        if error is not None:
+            result.errors.append(error)
+            continue
+        contexts.append(ctx)
+        suppressed = suppressions_for(ctx.source)
+        suppressions[ctx.display_path] = suppressed
+        for rule in file_rules:
+            for finding in rule.check(ctx):
                 classify(finding, suppressed)
-    else:
-        for path in files:
-            ctx, error = _parse_file(path)
-            if error is not None:
-                result.errors.append(error)
-                continue
-            contexts.append(ctx)
-            suppressed = suppressions_for(ctx.source)
-            suppressions[ctx.display_path] = suppressed
-            for rule in file_rules:
-                for finding in rule.check(ctx):
-                    classify(finding, suppressed)
 
     if project_rules and contexts:
         project = ProjectContext(contexts)

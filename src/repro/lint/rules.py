@@ -11,11 +11,6 @@ now only enforced by review:
 * ``SCATTER-CONTAINMENT`` — ``ufunc.at`` is the slowest scatter idiom; all
   scatter kernels live behind :mod:`repro.nn.scatter` so the fast/reference
   backend switch covers every call site.
-* ``SHM-DISCIPLINE`` — ``multiprocessing.shared_memory.SharedMemory`` leaks
-  ``/dev/shm`` segments unless creation, attachment, resource-tracker
-  bookkeeping and unlink ordering are all handled; that lifecycle lives in
-  :mod:`repro.data.shm` (arena slots, lease-counted unmap, finalizers) and
-  nowhere else.
 * ``NO-BARE-PRINT`` — library code logs through ``repro.obs.get_logger`` so
   telemetry sessions capture it; ``print`` is reserved for the CLI surface
   and experiment report rendering.
@@ -30,10 +25,10 @@ now only enforced by review:
   belong in :mod:`repro.serve.net` only; anywhere else (and especially on
   the asyncio front-end's event loop) a blocking socket call is a stall the
   in-flight bound cannot see.
-* ``SPAN-NAME-DISCIPLINE`` — fleet merges aggregate per-process spools *by
-  name*, so a typo'd or ad-hoc span/metric name silently fragments the fleet
-  view; instrumentation sites must use a literal from the
-  :mod:`repro.obs.names` catalog or one of its template helpers.
+* ``SPAN-NAME-DISCIPLINE`` — metrics aggregate and render *by name*, so a
+  typo'd or ad-hoc span/metric name silently fragments the view;
+  instrumentation sites must use a literal from the :mod:`repro.obs.names`
+  catalog or one of its template helpers.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from .framework import FileContext, Finding, register
 __all__ = [
     "DtypeDisciplineRule",
     "ScatterContainmentRule",
-    "ShmDisciplineRule",
     "NoBarePrintRule",
     "SeededRandomnessRule",
     "TelemetryGuardRule",
@@ -189,37 +183,6 @@ class ScatterContainmentRule:
 
 
 @register
-class ShmDisciplineRule:
-    """``SharedMemory`` construction/attach belongs in ``repro.data.shm`` only."""
-
-    rule_id = "SHM-DISCIPLINE"
-    description = ("SharedMemory() construction/attach is forbidden outside "
-                   "repro.data.shm — use ShmArena / ShmParamMirror so segment "
-                   "cleanup and resource-tracker bookkeeping apply")
-
-    HOME_MODULE = "repro.data.shm"
-
-    def _is_shared_memory(self, func: ast.AST) -> bool:
-        if isinstance(func, ast.Name):
-            return func.id == "SharedMemory"
-        if isinstance(func, ast.Attribute):
-            return func.attr == "SharedMemory"
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag ``SharedMemory(...)`` calls in any other module."""
-        if ctx.module == self.HOME_MODULE:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and self._is_shared_memory(node.func):
-                yield ctx.finding(
-                    self.rule_id, node,
-                    "SharedMemory construction/attach outside repro.data.shm "
-                    "(route through ShmArena / ShmParamMirror so leases, "
-                    "finalizers and unlink ordering are handled)")
-
-
-@register
 class NoBarePrintRule:
     """Library code logs via ``repro.obs.get_logger``, never ``print``."""
 
@@ -326,9 +289,9 @@ class BlockingIoContainmentRule:
 class SpanNameDisciplineRule:
     """Span/metric names at instrumentation sites come from the catalog.
 
-    The fleet merge (:mod:`repro.obs.fleet`) sums counters and merges
-    histograms across per-process spools strictly by name, so every name
-    must be spelled identically in every process.  A ``span(...)`` /
+    Snapshot merges (:mod:`repro.obs.fleet`) and renderers key every
+    series strictly by name, so every name must be spelled identically at
+    every site.  A ``span(...)`` /
     ``registry.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)`` call
     must therefore name its series with either
 
@@ -340,22 +303,21 @@ class SpanNameDisciplineRule:
     F-strings and string arithmetic at the call site are always findings —
     that is exactly the ad-hoc-name class the catalog exists to kill.  Bare
     variables are allowed: merge/export code legitimately passes names it
-    read from another process's snapshot.
+    read from a snapshot.
     """
 
     rule_id = "SPAN-NAME-DISCIPLINE"
     description = ("span()/counter()/gauge()/histogram() names must be "
                    "catalog literals from repro.obs.names or calls to its "
                    "template helpers — ad-hoc literals and f-strings "
-                   "fragment the fleet merge")
+                   "fragment the metric view")
 
     # The catalog itself and the registry internals (which rebuild metrics
     # from merged state under dynamic names) are exempt.
     EXEMPT_MODULES = ("repro.obs.names", "repro.obs.metrics",
                       "repro.obs.fleet", "repro.obs.exporters")
     METRIC_METHODS = ("counter", "gauge", "histogram")
-    HELPERS = ("serve_latency_stage", "train_loss_component",
-               "pipeline_worker_batches")
+    HELPERS = ("serve_latency_stage", "train_loss_component")
 
     def _catalogs(self):
         from repro.obs.names import METRIC_NAMES, SPAN_NAMES
@@ -385,8 +347,8 @@ class SpanNameDisciplineRule:
                 yield ctx.finding(
                     self.rule_id, call,
                     f"{what} name {name.value!r} is not in the "
-                    "repro.obs.names catalog (add it there so fleet merges "
-                    "can aggregate it)")
+                    "repro.obs.names catalog (add it there so merges and "
+                    "renderers can aggregate it)")
         elif isinstance(name, (ast.JoinedStr, ast.BinOp, ast.Call)):
             yield ctx.finding(
                 self.rule_id, call,

@@ -15,8 +15,7 @@ from .layers import (Dropout, Embedding, FeedForward, LayerNorm, Linear,
 from .losses import (bpr_loss, cross_entropy, cross_entropy_with_candidates, info_nce,
                      info_nce_from_logits)
 from .module import Module, ModuleList, Parameter, Sequential
-from .optim import (SGD, Adagrad, Adam, AdamW, Optimizer, RMSprop,
-                    assign_flat_gradients, clip_grad_norm, gather_flat_gradients)
+from .optim import SGD, Adagrad, Adam, AdamW, Optimizer, RMSprop, clip_grad_norm
 from .rnn import GRU, GRUCell
 from .sanitizer import (GradSanitizer, InplaceMutationError, NonFiniteOriginError,
                         disable_sanitizer, enable_sanitizer, get_sanitizer,
@@ -48,7 +47,6 @@ __all__ = [
     "cross_entropy", "cross_entropy_with_candidates", "bpr_loss", "info_nce",
     "info_nce_from_logits",
     "Optimizer", "SGD", "Adam", "AdamW", "Adagrad", "RMSprop", "clip_grad_norm",
-    "gather_flat_gradients", "assign_flat_gradients",
     "LRSchedule", "ConstantLR", "WarmupCosine", "StepDecay",
     "save_checkpoint", "load_checkpoint",
     "SegmentPlan", "scatter_backend", "set_scatter_backend", "get_scatter_backend",

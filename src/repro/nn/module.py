@@ -84,44 +84,13 @@ class Module:
         for param in self.parameters():
             param.grad = None
 
-    # ------------------------------------------------------------------
-    # flat views (parameter broadcast / gradient allreduce)
-    # ------------------------------------------------------------------
-    def parameter_vector(self, out: np.ndarray | None = None) -> np.ndarray:
-        """All parameters concatenated into one flat array (traversal order).
-
-        The layout is the deterministic :meth:`named_parameters` order, so a
-        vector produced by one replica of a model loads into any other via
-        :meth:`load_parameter_vector` — the transport format for the
-        data-parallel parameter broadcast.  Pass ``out`` to fill a
-        preallocated buffer (e.g. a shared-memory mirror) without an
-        intermediate allocation.
-        """
+    def parameter_vector(self) -> np.ndarray:
+        """All parameters concatenated into one flat array, in the
+        deterministic :meth:`named_parameters` order."""
         parameters = self.parameters()
         if not parameters:
             raise ValueError("module has no parameters")
-        dtype = parameters[0].data.dtype
-        total = sum(param.size for param in parameters)
-        if out is None:
-            out = np.empty(total, dtype=dtype)
-        elif out.shape != (total,):
-            raise ValueError(f"flat buffer has shape {out.shape}, need ({total},)")
-        cursor = 0
-        for param in parameters:
-            out[cursor:cursor + param.size] = param.data.reshape(-1)
-            cursor += param.size
-        return out
-
-    def load_parameter_vector(self, flat: np.ndarray) -> None:
-        """Inverse of :meth:`parameter_vector`: scatter a flat array back."""
-        parameters = self.parameters()
-        total = sum(param.size for param in parameters)
-        if flat.shape != (total,):
-            raise ValueError(f"flat vector has shape {flat.shape}, need ({total},)")
-        cursor = 0
-        for param in parameters:
-            param.data[...] = flat[cursor:cursor + param.size].reshape(param.shape)
-            cursor += param.size
+        return np.concatenate([param.data.reshape(-1) for param in parameters])
 
     # ------------------------------------------------------------------
     # state dict

@@ -1,5 +1,4 @@
-"""Optimizers: SGD (momentum), Adam, AdamW, gradient clipping, and the flat
-gradient views used by the data-parallel allreduce."""
+"""Optimizers: SGD (momentum), Adam, AdamW and gradient clipping."""
 
 from __future__ import annotations
 
@@ -8,55 +7,7 @@ import numpy as np
 from .module import Parameter
 
 __all__ = ["Optimizer", "SGD", "Adam", "AdamW", "Adagrad", "RMSprop",
-           "clip_grad_norm", "gather_flat_gradients", "assign_flat_gradients"]
-
-
-def gather_flat_gradients(parameters, out: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate every parameter's gradient into one flat array.
-
-    Parameters with no gradient contribute zeros, so the flat layout is a
-    pure function of the parameter list (the deterministic
-    ``named_parameters`` order) — which is what lets data-parallel shards
-    be reduced coordinate-by-coordinate in a fixed order.  Pass ``out`` to
-    reuse a preallocated buffer (e.g. a shared-memory slot).
-    """
-    parameters = list(parameters)
-    if not parameters:
-        raise ValueError("no parameters to gather gradients from")
-    dtype = parameters[0].data.dtype
-    total = sum(p.data.size for p in parameters)
-    if out is None:
-        out = np.empty(total, dtype=dtype)
-    elif out.shape != (total,):
-        raise ValueError(f"flat buffer has shape {out.shape}, need ({total},)")
-    cursor = 0
-    for p in parameters:
-        size = p.data.size
-        if p.grad is None:
-            out[cursor:cursor + size] = 0.0
-        else:
-            out[cursor:cursor + size] = p.grad.reshape(-1)
-        cursor += size
-    return out
-
-
-def assign_flat_gradients(parameters, flat: np.ndarray) -> None:
-    """Scatter a flat gradient vector back onto ``param.grad`` windows.
-
-    Each parameter's ``grad`` becomes a reshaped **view** into ``flat`` (no
-    copies), so in-place consumers downstream — ``clip_grad_norm``, the
-    optimizers' ``m``/``v`` updates — operate directly on the reduced
-    buffer.  The inverse of :func:`gather_flat_gradients`.
-    """
-    parameters = list(parameters)
-    total = sum(p.data.size for p in parameters)
-    if flat.shape != (total,):
-        raise ValueError(f"flat vector has shape {flat.shape}, need ({total},)")
-    cursor = 0
-    for p in parameters:
-        size = p.data.size
-        p.grad = flat[cursor:cursor + size].reshape(p.data.shape)
-        cursor += size
+           "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:

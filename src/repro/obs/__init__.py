@@ -18,8 +18,9 @@ training, evaluation, serving):
   cycle-closing acquire raises :class:`LockOrderViolation` instead of
   deadlocking.
 - :mod:`repro.obs.logs` — stdlib ``logging`` routed into the event layer.
-- :mod:`repro.obs.exporters` — Prometheus text exposition and per-run
-  manifests written next to checkpoints.
+- :mod:`repro.obs.exporters` — Prometheus text exposition, per-run
+  manifests written next to checkpoints, and the host record every perf
+  JSON carries.
 - :mod:`repro.obs.cli` — the ``python -m repro obs`` trace/metrics renderer.
 
 All instrumentation is zero-cost when disabled: call sites pay one
@@ -27,11 +28,10 @@ All instrumentation is zero-cost when disabled: call sites pay one
 """
 
 from .cli import render_events, render_span_tree
-from .events import (EventSink, Telemetry, child_telemetry_config,
-                     disable_telemetry, enable_telemetry,
-                     enable_worker_telemetry, get_telemetry, read_events,
-                     read_events_tolerant, spool_dir_for, telemetry_session)
-from .exporters import git_revision, prometheus_text, write_run_manifest
+from .events import (EventSink, Telemetry, disable_telemetry, enable_telemetry,
+                     get_telemetry, read_events, read_events_tolerant,
+                     telemetry_session)
+from .exporters import git_revision, host_info, prometheus_text, write_run_manifest
 from .fleet import (FleetView, collect_fleet, merge_registry_snapshot,
                     merge_snapshots)
 from .health import (GradientMonitor, LossComponentTracker, NaNWatchdog,
@@ -41,10 +41,9 @@ from .lockwatch import (LockOrderViolation, LockWatchdog, WatchedLock,
                         get_lock_watch, watched_lock, watched_rlock)
 from .logs import get_logger, setup_logging
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry
-from .names import (METRIC_NAMES, SPAN_NAMES, pipeline_worker_batches,
-                    serve_latency_stage, train_loss_component)
-from .trace import (Span, TraceContext, current_context, current_span,
-                    remote_context, reset_trace_state, span)
+from .names import (METRIC_NAMES, SPAN_NAMES, serve_latency_stage,
+                    train_loss_component)
+from .trace import Span, current_span, span
 
 __all__ = [
     "EventSink",
@@ -55,13 +54,6 @@ __all__ = [
     "telemetry_session",
     "read_events",
     "read_events_tolerant",
-    "child_telemetry_config",
-    "enable_worker_telemetry",
-    "spool_dir_for",
-    "TraceContext",
-    "current_context",
-    "remote_context",
-    "reset_trace_state",
     "FleetView",
     "collect_fleet",
     "merge_registry_snapshot",
@@ -70,7 +62,6 @@ __all__ = [
     "METRIC_NAMES",
     "serve_latency_stage",
     "train_loss_component",
-    "pipeline_worker_batches",
     "Span",
     "span",
     "current_span",
@@ -96,6 +87,7 @@ __all__ = [
     "setup_logging",
     "prometheus_text",
     "write_run_manifest",
+    "host_info",
     "git_revision",
     "render_events",
     "render_span_tree",

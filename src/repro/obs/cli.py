@@ -1,24 +1,18 @@
 """Renderer behind ``python -m repro obs``: trace tree + metric summary.
 
-Reads one run's JSON-lines event log — plus, when present, the worker
-spool directory next to it (``<events>.d/``, see
-:mod:`repro.obs.fleet`) — and renders:
+Reads one run's JSON-lines event log (see :mod:`repro.obs.fleet`) and
+renders:
 
 * the **span tree** — spans nested under their parents with wall-clock
-  durations; spans from worker processes stitch under their cross-process
-  parents (span ids are fleet-unique) and carry a ``@role`` tag; runs of
-  sibling spans sharing a name (e.g. hundreds of ``train.step`` spans)
-  collapse into one ``×N`` aggregate line;
+  durations; runs of sibling spans sharing a name (e.g. hundreds of
+  ``train.step`` spans) collapse into one ``×N`` aggregate line;
 * the **epoch table** — one row per ``epoch`` event (loss, split timings,
   monitored metric);
 * the **metric summary** — counters, gauges and histogram percentiles from
-  the merged fleet registry (per-process snapshots: counters summed,
-  histograms merged bucket-wise);
-* the **process census** — one row per contributing process when workers
-  relayed events;
+  the run's final metrics snapshot;
 * a one-line census of everything else (log records by level).
 
-Malformed lines (torn writes from a live fleet) are skipped and counted,
+Malformed lines (torn writes from a live run) are skipped and counted,
 never fatal.
 """
 
@@ -45,8 +39,7 @@ def _fmt_attrs(attrs: dict) -> str:
 
 
 def _start_key(event: dict) -> float:
-    # Wall-clock start when available (comparable across processes);
-    # fall back to the in-process perf_counter start.
+    # Wall-clock start when available; fall back to the perf_counter start.
     ts = event.get("ts")
     if ts is not None:
         return ts - (event.get("seconds") or 0.0)
@@ -57,18 +50,15 @@ def _span_line(event: dict) -> str:
     attrs = dict(event.get("attrs") or {})
     if event.get("request_id") is not None:
         attrs = {"request_id": event["request_id"], **attrs}
-    role = (event.get("proc") or {}).get("role")
-    tag = f" @{role}" if role else ""
     return (f"{event['name']} ({_fmt_seconds(event['seconds'])})"
-            f"{tag}{_fmt_attrs(attrs)}")
+            f"{_fmt_attrs(attrs)}")
 
 
 def render_span_tree(spans: list[dict], collapse_after: int = 5) -> str:
     """Indented tree of span events (grouping large same-name sibling runs).
 
-    ``spans`` are raw ``span`` events (any order, any number of source
-    processes); parentage comes from ``parent_id``, which may point at a
-    span recorded by a different process.  Sibling groups larger than
+    ``spans`` are raw ``span`` events (any order); parentage comes from
+    ``parent_id``.  Sibling groups larger than
     ``collapse_after`` render as one aggregate line with count, total and
     mean duration.
     """
@@ -158,28 +148,8 @@ def _render_metrics(snapshot: dict) -> str:
     return "\n".join(sections)
 
 
-def _render_processes(processes: list[dict]) -> str:
-    from repro.utils import format_table
-
-    rows = []
-    for proc in processes:
-        worker = proc.get("worker")
-        generation = proc.get("generation")
-        rows.append([
-            proc.get("role", "?"),
-            "-" if worker is None else worker,
-            "-" if proc.get("pid") is None else proc["pid"],
-            "-" if generation is None else generation,
-            proc.get("events", 0),
-            proc.get("spans", 0),
-            proc.get("malformed_lines", 0),
-        ])
-    return format_table(["process", "worker", "pid", "gen", "events",
-                         "spans", "malformed"], rows)
-
-
 def render_events(path: str | Path, collapse_after: int = 5) -> str:
-    """Full human-readable report for one run's event log + worker spools."""
+    """Full human-readable report for one run's event log."""
     view = collect_fleet(path)
     if not view.events and not view.malformed_lines:
         return f"{path}: no events"
@@ -204,9 +174,6 @@ def render_events(path: str | Path, collapse_after: int = 5) -> str:
     if rendered:
         sections.append("\nmetrics:")
         sections.append(rendered)
-    if len(view.processes) > 1:
-        sections.append("\nprocesses:")
-        sections.append(_render_processes(view.processes))
     logs = by_type.get("log", [])
     if logs:
         levels: dict[str, int] = {}

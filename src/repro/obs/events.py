@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -41,9 +40,6 @@ __all__ = [
     "telemetry_session",
     "read_events",
     "read_events_tolerant",
-    "child_telemetry_config",
-    "enable_worker_telemetry",
-    "spool_dir_for",
 ]
 
 
@@ -54,23 +50,18 @@ class EventSink:
         path: when given, every event is appended to this file as one JSON
             line (the file is truncated on open).  Without a path events are
             only kept in :attr:`events` — handy for tests.
-        keep_in_memory: retain events on the sink object (always on for
-            path-less sinks so the events remain observable).
     """
 
-    def __init__(self, path: str | Path | None = None,
-                 keep_in_memory: bool | None = None):
+    def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.keep_in_memory = (self.path is None if keep_in_memory is None
-                               else keep_in_memory)
+        self.keep_in_memory = self.path is None
         self.events: list[dict] = []
         self._lock = threading.Lock()
         self._file = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             # Line-buffered: every emitted event reaches the file before the
-            # next syscall, so a ``fork`` never duplicates buffered bytes
-            # into a child and a crashed process loses at most nothing.
+            # next syscall, so a crashed process loses nothing.
             self._file = open(self.path, "w", encoding="utf-8", buffering=1)
 
     def emit(self, event: dict) -> None:
@@ -100,33 +91,22 @@ class Telemetry:
 
     Instrumentation points obtain the hub with :func:`get_telemetry` (or go
     through :func:`repro.obs.trace.span`, which does it for them) and call
-    :meth:`emit`.  The hub also hands out span ids that are unique across
-    the whole fleet: the counter is seeded from the process pid (pid in the
-    high bits, monotone low bits), so spans recorded in different
-    per-process spools can reference each other by id without coordination.
-
-    ``proc`` tags the hub with its process identity (``role`` / ``worker`` /
-    ``pid`` / ``generation``); when set, every event carries it so the
-    fleet merge can attribute events to the worker that produced them.
+    :meth:`emit`.  The hub also hands out span ids, monotone from 1.
     """
 
-    def __init__(self, sink: EventSink, registry=None,
-                 proc: dict | None = None):
+    def __init__(self, sink: EventSink, registry=None):
         from .metrics import get_registry
         self.sink = sink
         self.registry = registry if registry is not None else get_registry()
-        self.proc = dict(proc) if proc else None
-        self._span_ids = itertools.count(((os.getpid() & 0xFFFFF) << 40) | 1)
+        self._span_ids = itertools.count(1)
 
     def next_span_id(self) -> int:
-        """A fresh fleet-unique id for one span (monotone within process)."""
+        """A fresh id for one span (monotone within the hub)."""
         return next(self._span_ids)
 
     def emit(self, type: str, **fields) -> None:
         """Stamp and forward one event to the sink."""
         event = {"type": type, "ts": time.time()}
-        if self.proc is not None:
-            event["proc"] = self.proc
         event.update(fields)
         self.sink.emit(event)
 
@@ -204,11 +184,11 @@ def read_events(path: str | Path) -> list[dict]:
 def read_events_tolerant(path: str | Path) -> tuple[list[dict], int]:
     """Like :func:`read_events`, but skip malformed lines instead of raising.
 
-    Returns ``(events, malformed_lines)``.  Event files written by a live
-    fleet can legitimately end mid-line (a worker killed between ``write``
-    and newline) — renderers and mergers use this form and surface the
-    count, while :func:`read_events` stays strict for tests and tooling
-    that treat a corrupt file as an error.
+    Returns ``(events, malformed_lines)``.  An event file can legitimately
+    end mid-line (a process killed between ``write`` and newline) — the
+    renderer uses this form and surfaces the count, while
+    :func:`read_events` stays strict for tests and tooling that treat a
+    corrupt file as an error.
     """
     events: list[dict] = []
     malformed = 0
@@ -227,61 +207,3 @@ def read_events_tolerant(path: str | Path) -> tuple[list[dict], int]:
             else:
                 malformed += 1
     return events, malformed
-
-
-def spool_dir_for(path: str | Path) -> Path:
-    """The per-process spool directory paired with one events file.
-
-    Workers forked while telemetry writes to ``run.jsonl`` relay their own
-    events into ``run.jsonl.d/<role>-<worker>-g<generation>-<pid>.jsonl``;
-    the fleet collector (:mod:`repro.obs.fleet`) and ``python -m repro obs``
-    discover the spools from the main file's path alone.
-    """
-    path = Path(path)
-    return path.with_name(path.name + ".d")
-
-
-def child_telemetry_config() -> dict | None:
-    """Snapshot the hub's relay settings for a worker about to fork.
-
-    Returns None when telemetry is disabled or purely in-memory — forked
-    workers then run with telemetry off, exactly as before the fleet path
-    existed.  The returned dict is pickle-friendly so pool factories can
-    ship it through task queues or spawn arguments.
-    """
-    if _TELEMETRY is None or _TELEMETRY.sink.path is None:
-        return None
-    return {"spool_dir": str(spool_dir_for(_TELEMETRY.sink.path))}
-
-
-def enable_worker_telemetry(config: dict | None, role: str, worker_id: int,
-                            generation: int = 0) -> Telemetry | None:
-    """Install a child process's relay hub right after ``fork``.
-
-    The inherited parent hub is dropped without closing it (the file
-    descriptor is shared with the parent; the line-buffered sink guarantees
-    the child inherited no buffered bytes), and the inherited span stack is
-    cleared so child spans never parent on a span that lives in the parent.
-
-    With ``config`` from :func:`child_telemetry_config` the child gets its
-    own JSON-lines spool plus a **fresh** :class:`MetricsRegistry` — fleet
-    merges sum per-process registries, so the child must not re-count
-    values inherited from the parent.  With ``config=None`` telemetry is
-    simply off in the child.
-    """
-    from .metrics import MetricsRegistry
-    from .trace import reset_trace_state
-    global _TELEMETRY
-    _TELEMETRY = None
-    reset_trace_state()
-    if config is None:
-        return None
-    spool_dir = Path(config["spool_dir"])
-    spool_dir.mkdir(parents=True, exist_ok=True)
-    spool = spool_dir / f"{role}-{worker_id}-g{generation}-{os.getpid()}.jsonl"
-    _TELEMETRY = Telemetry(
-        EventSink(spool, keep_in_memory=False),
-        registry=MetricsRegistry(),
-        proc={"role": role, "worker": worker_id, "pid": os.getpid(),
-              "generation": generation})
-    return _TELEMETRY

@@ -1,6 +1,6 @@
 """Exporters: Prometheus text exposition and per-run manifests.
 
-Three machine-readable outputs leave the telemetry layer:
+Four machine-readable outputs leave the telemetry layer:
 
 * **JSON-lines event logs** — produced by the sink itself
   (:mod:`repro.obs.events`), rendered by ``python -m repro obs``.
@@ -11,21 +11,24 @@ Three machine-readable outputs leave the telemetry layer:
   checkpoint (config, seed, git SHA, final metrics, environment) as a JSON
   file next to the checkpoint, so every ``.npz`` on disk stays attributable
   months later.
+* **Host records** — :func:`host_info` describes the machine a number was
+  measured on (CPUs, NumPy/BLAS build, BLAS thread settings); run
+  manifests and every perf bench JSON embed it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import re
 import subprocess
-import sys
 import time
 from pathlib import Path
 
 from .metrics import Counter, Gauge, MetricsRegistry
 
-__all__ = ["prometheus_text", "write_run_manifest", "git_revision"]
+__all__ = ["prometheus_text", "write_run_manifest", "git_revision", "host_info"]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
@@ -89,6 +92,44 @@ def git_revision() -> str | None:
     return sha if proc.returncode == 0 and sha else None
 
 
+def _cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def host_info() -> dict:
+    """The machine a measurement ran on: CPU count, affinity and model,
+    Python and NumPy versions, the BLAS build NumPy links, and the BLAS
+    thread-count environment variables (None where unset)."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get(
+            "blas", {})
+    except (TypeError, ValueError):  # NumPy without dict-mode show_config
+        blas = {}
+    affinity = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_affinity": affinity,
+        "cpu_model": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in
+                 ("name", "version", "openblas configuration")},
+        "threads": {name: os.environ.get(name) for name in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")},
+    }
+
+
 def write_run_manifest(path: str | Path, *, config: dict | None = None,
                        seed: int | None = None, metrics: dict | None = None,
                        extra: dict | None = None) -> Path:
@@ -104,18 +145,19 @@ def write_run_manifest(path: str | Path, *, config: dict | None = None,
         extra: any further JSON-serializable context.
 
     The manifest additionally records the git SHA (when available), the
-    Python/NumPy versions, the platform and a wall-clock timestamp.
+    Python/NumPy versions, the platform, the :func:`host_info` record and a
+    wall-clock timestamp.
     """
-    import numpy as np
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    host = host_info()
     manifest = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "git_sha": git_revision(),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
+        "python": host["python"],
+        "numpy": host["numpy"],
         "platform": platform.platform(),
+        "host": host,
         "seed": seed,
         "config": config or {},
         "metrics": metrics or {},

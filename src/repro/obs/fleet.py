@@ -1,28 +1,19 @@
-"""Fleet-wide telemetry collection: merge per-process spools into one view.
+"""Collect one run's event log into a view, merging metric snapshots.
 
-A multi-process run produces one *main* JSON-lines event file (the parent's
-:func:`~repro.obs.events.telemetry_session`) plus a spool directory next to
-it (``<events>.d/``) holding one file per forked worker, DDP shard, eval
-shard or serving replica (see
-:func:`~repro.obs.events.enable_worker_telemetry`).  This module stitches
-them back together:
-
-* **events** concatenate — every spool event already carries its ``proc``
-  tag (role / worker / pid / generation), and span ids are fleet-unique
-  (pid-seeded counters), so the combined span set renders as one tree with
-  cross-process parent edges intact.
-* **metrics** merge — each process's final ``metrics`` snapshot is folded
-  into one :class:`~repro.obs.metrics.MetricsRegistry`: counters sum,
-  histograms merge bucket-wise exactly via their serialized
-  :meth:`~repro.obs.metrics.Histogram.state`, and gauges keep the last
-  writer in source order (main file first, then spools sorted by filename)
-  — gauges are instantaneous values, so summing them would be meaningless.
+* **events** — every event of the file, malformed lines skipped and
+  counted (an event file can end mid-line).
+* **metrics** — the file's last ``metrics`` snapshot folded into one
+  :class:`~repro.obs.metrics.MetricsRegistry`.  :func:`merge_snapshots`
+  combines several snapshots: counters sum, histograms merge bucket-wise
+  exactly via their serialized :meth:`~repro.obs.metrics.Histogram.state`,
+  and gauges keep the last writer — gauges are instantaneous values, so
+  summing them would be meaningless.
 * **synthetic ``fleet.*`` counters** describe the collection itself
-  (process/event/span counts, malformed lines), so the merged registry is
-  self-describing in ``prometheus_text`` output.
+  (event/span counts, malformed lines), so the registry is self-describing
+  in ``prometheus_text`` output.
 
-Only the *last* ``metrics`` event per file is merged: registry snapshots
-are cumulative, so folding every intermediate snapshot would double-count.
+Only the *last* ``metrics`` event is merged: registry snapshots are
+cumulative, so folding every intermediate snapshot would double-count.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import read_events_tolerant, spool_dir_for
+from .events import read_events_tolerant
 from .metrics import MetricsRegistry
 
 __all__ = ["FleetView", "collect_fleet", "merge_registry_snapshot",
@@ -43,8 +34,8 @@ def merge_registry_snapshot(registry: MetricsRegistry, snapshot: dict) -> None:
     """Fold one serialized registry snapshot into a live registry.
 
     Counters add, gauges overwrite (last writer wins), histograms merge
-    exactly through their embedded ``state`` (snapshots without state —
-    from pre-fleet event files — are skipped rather than merged lossily).
+    exactly through their embedded ``state`` (snapshots without state are
+    skipped rather than merged lossily).
     """
     for name, value in snapshot.get("counters", {}).items():
         registry.counter(name).inc(value)
@@ -69,66 +60,35 @@ def merge_snapshots(snapshots) -> MetricsRegistry:
 
 @dataclass
 class FleetView:
-    """Everything one collection pass recovered from a run's event files."""
+    """Everything one collection pass recovered from a run's event file."""
 
     events: list = field(default_factory=list)
-    """All events, main file first then spools (each spool in file order)."""
+    """All events, in file order."""
 
     spans: list = field(default_factory=list)
-    """The ``span`` events across every process."""
+    """The ``span`` events."""
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    """Merged fleet metrics (counters summed, histograms bucket-merged)."""
-
-    processes: list = field(default_factory=list)
-    """Per-file census: role, worker, pid, generation, event/span counts."""
+    """The run's final metrics plus the ``fleet.*`` collection counters."""
 
     malformed_lines: int = 0
-    """Lines skipped as invalid JSON across every file (live-writer torn
-    lines, truncated tails)."""
+    """Lines skipped as invalid JSON (torn lines, truncated tails)."""
 
 
 def collect_fleet(path: str | Path) -> FleetView:
-    """Collect one run: the main events file plus its worker spools.
+    """Collect one run from the file handed to ``--events-out``.
 
-    ``path`` is the file handed to ``--events-out``; spools are discovered
-    at ``<path>.d/*.jsonl`` automatically.  Malformed lines anywhere are
-    skipped and counted, never fatal — a live fleet's files may end
-    mid-write.
+    Malformed lines are skipped and counted, never fatal — a live run's
+    file may end mid-write.
     """
-    sources = [Path(path)]
-    spool_dir = spool_dir_for(path)
-    if spool_dir.is_dir():
-        sources.extend(sorted(spool_dir.glob("*.jsonl")))
-
-    view = FleetView()
-    for source in sources:
-        events, malformed = read_events_tolerant(source)
-        view.events.extend(events)
-        view.malformed_lines += malformed
-        proc = next((event["proc"] for event in events if "proc" in event),
-                    None) or {"role": "main"}
-        snapshots = [event for event in events
-                     if event.get("type") == "metrics"]
-        if snapshots:
-            merge_registry_snapshot(view.registry,
-                                    snapshots[-1].get("registry", {}))
-        span_count = sum(1 for event in events if event.get("type") == "span")
-        view.processes.append({
-            "file": str(source),
-            "role": proc.get("role", "main"),
-            "worker": proc.get("worker"),
-            "pid": proc.get("pid"),
-            "generation": proc.get("generation"),
-            "events": len(events),
-            "spans": span_count,
-            "malformed_lines": malformed,
-        })
-
-    view.spans = [event for event in view.events
-                  if event.get("type") == "span"]
+    events, malformed = read_events_tolerant(path)
+    view = FleetView(events=events, malformed_lines=malformed)
+    snapshots = [event for event in events if event.get("type") == "metrics"]
+    if snapshots:
+        merge_registry_snapshot(view.registry,
+                                snapshots[-1].get("registry", {}))
+    view.spans = [event for event in events if event.get("type") == "span"]
     registry = view.registry
-    registry.counter("fleet.processes").inc(len(view.processes))
     registry.counter("fleet.events").inc(len(view.events))
     registry.counter("fleet.spans").inc(len(view.spans))
     registry.counter("fleet.malformed_lines").inc(view.malformed_lines)

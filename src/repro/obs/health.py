@@ -68,39 +68,6 @@ class TrainerCallback:
         """Called once after early stopping / the final epoch."""
 
 
-def _shard_health(trainer) -> list[dict]:
-    """The last step's per-shard health under ``--data-parallel`` (else [])."""
-    engine = getattr(trainer, "ddp_engine", None)
-    if engine is None:
-        return []
-    return list(getattr(engine, "last_shard_health", None) or [])
-
-
-def _shard_tags(trainer) -> dict:
-    """Event fields attributing a step to its shards/workers (data-parallel).
-
-    Empty outside data-parallel training, so single-process events keep
-    their historic shape.
-    """
-    health = _shard_health(trainer)
-    if not health:
-        return {}
-    return {"shards": [{"shard": entry["shard"], "worker": entry["worker"],
-                        "finite_grad": entry["finite_grad"]}
-                       for entry in health]}
-
-
-def _format_blame(bad: list[dict]) -> str:
-    if not bad:
-        return ""
-    names = ", ".join(
-        f"shard {entry['shard']}"
-        + (f" (worker {entry['worker']})"
-           if entry.get("worker") is not None else "")
-        for entry in bad)
-    return f"; produced by {names}"
-
-
 class NonFiniteGradientError(FloatingPointError):
     """A NaN/Inf reached a gradient (or the loss) during training.
 
@@ -108,20 +75,14 @@ class NonFiniteGradientError(FloatingPointError):
         parameter: offending parameter name, or None when the loss itself
             was non-finite.
         epoch / step: position in the training loop.
-        shard / worker: the data-parallel shard (and worker process) whose
-            gradient or loss was non-finite, when attributable; None in
-            single-process training.
     """
 
     def __init__(self, message: str, parameter: str | None = None,
-                 epoch: int = -1, step: int = -1,
-                 shard: int | None = None, worker: int | None = None):
+                 epoch: int = -1, step: int = -1):
         super().__init__(message)
         self.parameter = parameter
         self.epoch = epoch
         self.step = step
-        self.shard = shard
-        self.worker = worker
 
 
 class NaNWatchdog(TrainerCallback):
@@ -144,28 +105,19 @@ class NaNWatchdog(TrainerCallback):
         self._step += 1
         if self._step % self.every:
             return
-        health = _shard_health(trainer)
         if not np.isfinite(loss):
-            blamed = [entry for entry in health
-                      if not np.isfinite(entry.get("loss", 0.0))]
             raise NonFiniteGradientError(
                 f"non-finite training loss {loss!r} at epoch {epoch} "
-                f"step {step}{_format_blame(blamed)}",
-                parameter=None, epoch=epoch, step=step,
-                shard=blamed[0]["shard"] if blamed else None,
-                worker=blamed[0]["worker"] if blamed else None)
+                f"step {step}",
+                parameter=None, epoch=epoch, step=step)
         for name, param in trainer.model.named_parameters():
             grad = param.grad
             if grad is not None and not np.all(np.isfinite(grad)):
                 bad = "nan" if np.isnan(grad).any() else "inf"
-                blamed = [entry for entry in health
-                          if not entry.get("finite_grad", True)]
                 raise NonFiniteGradientError(
                     f"non-finite ({bad}) gradient in parameter {name!r} "
-                    f"at epoch {epoch} step {step}{_format_blame(blamed)}",
-                    parameter=name, epoch=epoch, step=step,
-                    shard=blamed[0]["shard"] if blamed else None,
-                    worker=blamed[0]["worker"] if blamed else None)
+                    f"at epoch {epoch} step {step}",
+                    parameter=name, epoch=epoch, step=step)
 
 
 class LossComponentTracker(TrainerCallback):
@@ -201,8 +153,7 @@ class LossComponentTracker(TrainerCallback):
             self.registry.gauge(train_loss_component(component)).set(value)
         telemetry = get_telemetry()
         if telemetry is not None:
-            telemetry.emit("loss_components", epoch=record.epoch, means=means,
-                           **_shard_tags(trainer))
+            telemetry.emit("loss_components", epoch=record.epoch, means=means)
 
     def curve(self, component: str) -> list[float]:
         """Per-epoch means of one component (NaN where it was absent)."""
@@ -271,8 +222,7 @@ class GradientMonitor(TrainerCallback):
         if telemetry is not None:
             telemetry.emit("grad_health", epoch=epoch, step=step,
                            global_norm=global_norm,
-                           max_update_ratio=worst_ratio,
-                           **_shard_tags(trainer))
+                           max_update_ratio=worst_ratio)
 
     def last_ratios(self) -> dict[str, float]:
         """The most recent update/param ratio per parameter."""

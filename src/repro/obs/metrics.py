@@ -3,11 +3,7 @@
 :class:`MetricsRegistry` is the shared, always-on metric store — cheap
 enough to update unconditionally (one dict lookup + one add), with named
 get-or-create accessors so independent subsystems can contribute to one
-namespace (``train.*``, ``serve.*``, ``hypergraph.*``, and the input
-pipeline's ``pipeline.queue_depth`` gauge / ``pipeline.wait_seconds``
-histogram / ``pipeline.batches`` + ``pipeline.worker.<id>.batches``
-utilization counters from :class:`repro.data.pipeline.PrefetchLoader`).
-A process-wide
+namespace (``train.*``, ``serve.*``, ``hypergraph.*``).  A process-wide
 default registry is reachable via :func:`get_registry`; components that need
 isolation (e.g. one :class:`~repro.serve.metrics.ServingMetrics` per
 service) construct private registries of the same classes.
@@ -152,9 +148,9 @@ class Histogram:
     def state(self) -> dict:
         """Exact mergeable state: bounds, raw bucket counts and aggregates.
 
-        Serializes losslessly through JSON, so a per-process ``metrics``
-        event carries everything :meth:`merge_state` needs to fold the
-        process back into a fleet-wide histogram — bucket-wise, exactly.
+        Serializes losslessly through JSON, so a ``metrics`` event carries
+        everything :meth:`merge_state` needs to rebuild or combine the
+        histogram — bucket-wise, exactly.
         """
         return {
             "bounds": [float(bound) for bound in self.bounds],
@@ -168,8 +164,8 @@ class Histogram:
         """Fold another histogram's :meth:`state` into this one.
 
         Bucket counts add element-wise and count/total/max combine exactly,
-        so merging per-process histograms is equivalent to recording every
-        observation into one histogram.  Bounds must match.
+        so merging histograms is equivalent to recording every observation
+        into one histogram.  Bounds must match.
         """
         bounds = np.asarray(state["bounds"], dtype=float)
         if bounds.shape != self.bounds.shape or not np.array_equal(bounds, self.bounds):

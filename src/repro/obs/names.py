@@ -1,13 +1,13 @@
 """Catalog of every span and metric name the library emits.
 
-Fleet-wide aggregation only works when every process names its spans and
-metrics identically — a typo'd or ad-hoc name produces an unmergeable
-series that silently fragments the fleet view.  This module is therefore
-the single source of truth: instrumentation sites either use a dotted
-lowercase string literal present in :data:`SPAN_NAMES` /
-:data:`METRIC_NAMES`, or go through one of the template helpers below for
-the few legitimately parameterized families (per-stage serving latency,
-per-component loss gauges, per-worker utilization counters).
+Aggregation and dashboards only work when every site names its spans and
+metrics identically — a typo'd or ad-hoc name produces a stray series that
+silently fragments the view.  This module is therefore the single source
+of truth: instrumentation sites either use a dotted lowercase string
+literal present in :data:`SPAN_NAMES` / :data:`METRIC_NAMES`, or go
+through one of the template helpers below for the few legitimately
+parameterized families (per-stage serving latency, per-component loss
+gauges).
 
 The ``SPAN-NAME-DISCIPLINE`` lint rule (:mod:`repro.lint.rules`) enforces
 this at the AST level: a ``span(...)`` / ``registry.counter(...)`` call
@@ -22,7 +22,6 @@ __all__ = [
     "METRIC_NAMES",
     "serve_latency_stage",
     "train_loss_component",
-    "pipeline_worker_batches",
 ]
 
 SPAN_NAMES = frozenset({
@@ -40,12 +39,10 @@ SPAN_NAMES = frozenset({
     "serve.batch",
     "serve.encode",
     "serve.retrieve_rank",
-    # cross-process fleet spans
-    "worker.task",
+    # serving (network front-end)
     "net.request",
-    "replica.request",
 })
-"""Every static span name; child spans parent on these across processes."""
+"""Every static span name."""
 
 METRIC_NAMES = frozenset({
     # serving service
@@ -72,24 +69,13 @@ METRIC_NAMES = frozenset({
     "serve.net.errors",
     "serve.net.read_timeouts",
     "serve.net.inflight",
-    "serve.net.replica.respawns",
-    "serve.net.replica.retries",
-    "serve.net.replica.deaths",
     # request correlation (front-end per-stage)
     "net.request.seconds",
     "net.request.dispatch_seconds",
-    "net.request.replica_seconds",
-    "net.request.batch_wait_seconds",
     # training health
     "train.grad.global_norm",
     "train.grad.update_ratio.max",
-    # data-parallel engine
-    "ddp.steps",
-    "ddp.shards",
-    "ddp.grad_bytes",
-    "ddp.sync_seconds",
-    # fleet collection synthetics
-    "fleet.processes",
+    # event-log collection synthetics
     "fleet.events",
     "fleet.spans",
     "fleet.malformed_lines",
@@ -97,13 +83,6 @@ METRIC_NAMES = frozenset({
     "lockwatch.acquisitions",
     "lockwatch.edges",
     "lockwatch.cycles",
-    # input pipeline
-    "pipeline.queue_depth",
-    "pipeline.wait_seconds",
-    "pipeline.batches",
-    "pipeline.shm.bytes",
-    "pipeline.shm.results",
-    "pipeline.shm.fallbacks",
 })
 """Every static metric name registered anywhere in the library."""
 
@@ -116,8 +95,3 @@ def serve_latency_stage(stage: str) -> str:
 def train_loss_component(component: str) -> str:
     """Gauge name for one loss component (``train.loss.<component>``)."""
     return "train.loss." + component
-
-
-def pipeline_worker_batches(worker_id: int) -> str:
-    """Counter name for one prefetch worker (``pipeline.worker.<id>.batches``)."""
-    return f"pipeline.worker.{worker_id}.batches"

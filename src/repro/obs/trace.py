@@ -19,30 +19,16 @@ When telemetry is disabled (:func:`repro.obs.get_telemetry` returns None)
 global check and no allocation — the same zero-cost discipline as
 :mod:`repro.perf`.  Each finished span emits a single ``span`` event carrying
 its name, id, parent id, trace id, start time, duration and attributes.
-
-Cross-process propagation
--------------------------
-A :class:`TraceContext` is the wire form of "where am I in the trace":
-``(trace_id, span_id, request_id)``.  A parent process captures one with
-:func:`current_context` and ships it alongside the task or request; the
-child process wraps its work in :func:`remote_context`, under which the
-next root span parents on the remote ``span_id`` and adopts the remote
-``trace_id`` — so span ids recorded in different per-process event spools
-stitch into one tree.  Span ids are made globally unique by seeding each
-process's counter with its pid (see :class:`repro.obs.events.Telemetry`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
-from dataclasses import dataclass
 
 from .events import get_telemetry
 
-__all__ = ["Span", "span", "current_span", "TraceContext", "current_context",
-           "remote_context", "reset_trace_state"]
+__all__ = ["Span", "span", "current_span"]
 
 _LOCAL = threading.local()
 
@@ -52,31 +38,6 @@ def _stack() -> list:
     if stack is None:
         stack = _LOCAL.stack = []
     return stack
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Compact cross-process trace position: ``(trace_id, span_id, request_id)``.
-
-    ``span_id`` is the remote parent a child's root span should hang from;
-    ``trace_id`` groups every span of one logical operation (one request,
-    one training step) across the fleet; ``request_id`` is the serving
-    tier's end-to-end correlation token (None outside the request path).
-    """
-
-    trace_id: int
-    span_id: int
-    request_id: str | None = None
-
-    def pack(self) -> tuple:
-        """Wire form: a plain tuple, cheap to pickle onto task queues."""
-        return (self.trace_id, self.span_id, self.request_id)
-
-    @classmethod
-    def unpack(cls, packed) -> "TraceContext":
-        """Rebuild from :meth:`pack` output (tolerates list from JSON)."""
-        trace_id, span_id, request_id = packed
-        return cls(int(trace_id), int(span_id), request_id)
 
 
 class Span:
@@ -115,12 +76,6 @@ class Span:
             self.parent_id = parent.span_id
             self.trace_id = parent.trace_id
             self.request_id = parent.request_id
-        else:
-            remote = getattr(_LOCAL, "remote", None)
-            if remote is not None:
-                self.parent_id = remote.span_id
-                self.trace_id = remote.trace_id
-                self.request_id = remote.request_id
         stack.append(self)
         self._start = time.perf_counter()
         return self
@@ -181,58 +136,3 @@ def current_span() -> Span | None:
     """The innermost open span on this thread, or None."""
     stack = getattr(_LOCAL, "stack", None)
     return stack[-1] if stack else None
-
-
-def current_context(request_id: str | None = None) -> TraceContext | None:
-    """The shippable :class:`TraceContext` at this point, or None.
-
-    Derived from the innermost open span (falling back to an active
-    :func:`remote_context`, so a relay hop can forward its inherited
-    position).  Returns None when telemetry is disabled or no span is open —
-    callers ship the context only when it exists, preserving the
-    zero-cost-when-disabled discipline.
-    """
-    stack = getattr(_LOCAL, "stack", None)
-    if stack:
-        top = stack[-1]
-        return TraceContext(top.trace_id, top.span_id,
-                            request_id if request_id is not None
-                            else top.request_id)
-    remote = getattr(_LOCAL, "remote", None)
-    if remote is not None and request_id is not None:
-        return TraceContext(remote.trace_id, remote.span_id, request_id)
-    return remote
-
-
-@contextlib.contextmanager
-def remote_context(context: TraceContext | tuple | None):
-    """Adopt a remote parent for root spans opened inside the block.
-
-    ``context`` may be a :class:`TraceContext`, its :meth:`~TraceContext.pack`
-    tuple, or None (no-op).  While active, a span opened with an empty
-    thread-local stack parents on ``context.span_id`` and inherits
-    ``trace_id`` / ``request_id``, which is how worker tasks and replica
-    requests attach to the tree of the process that shipped them.
-    """
-    if context is None:
-        yield
-        return
-    if not isinstance(context, TraceContext):
-        context = TraceContext.unpack(context)
-    previous = getattr(_LOCAL, "remote", None)
-    _LOCAL.remote = context
-    try:
-        yield
-    finally:
-        _LOCAL.remote = previous
-
-
-def reset_trace_state() -> None:
-    """Drop this thread's span stack and remote context.
-
-    Called after ``fork``: the child inherits the forking thread's open
-    spans, which belong to the parent process and must not adopt children
-    recorded in the child's spool.
-    """
-    _LOCAL.stack = []
-    _LOCAL.remote = None

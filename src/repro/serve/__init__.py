@@ -5,7 +5,7 @@ Layers (each usable on its own):
 - :mod:`repro.serve.artifact` — export a trained model into a pure-NumPy
   inference artifact loadable without the autodiff graph: a legacy ``.npz``
   file or a memory-mappable directory bundle that can also carry prebuilt
-  index structures (replicas attach in O(mmap) and share page-cache pages).
+  index structures (attached in O(mmap) instead of rebuilt at load).
 - :mod:`repro.serve.encoder` — autodiff-free forward pass that maps user
   histories to multi-interest vectors, bitwise-equal to the eval-mode model.
 - :mod:`repro.serve.index` — exact, IVF (coarse-quantized) and HNSW (layered
@@ -22,10 +22,9 @@ Layers (each usable on its own):
   hit rate and recall-vs-exact counters.
 - :mod:`repro.serve.service` — the :class:`RecommenderService` facade that
   wires everything together (also behind ``python -m repro serve``).
-- :mod:`repro.serve.net` — the network tier: NDJSON TCP front-end with
-  bounded in-flight load shedding and graceful drain, replica sharding over
-  forked worker processes with user-hash routing and respawn-on-death, a
-  blocking client and a closed-loop load generator.
+- :mod:`repro.serve.net` — the network tier: the shared request parser, an
+  NDJSON TCP front-end with bounded in-flight load shedding and graceful
+  drain, a blocking client and a closed-loop load generator.
 """
 
 from .artifact import (InferenceArtifact, export_artifact, load_artifact,
@@ -39,9 +38,8 @@ from .index import (ExactIndex, HNSWIndex, IVFIndex, SearchResult,
 from .metrics import LatencyHistogram, ServingMetrics
 from .quant import (IVFPQIndex, PQIndex, ProductQuantizer, ScalarQuantizer,
                     SQIndex)
-from .net import (LoadReport, LocalBackend, NetClient, NetServer, ReplicaSet,
-                  ReplicaUnavailable, build_backend, normalize_request,
-                  run_load)
+from .net import (LoadReport, LocalBackend, NetClient, NetServer,
+                  normalize_request, run_load)
 from .service import RecommenderService
 
 __all__ = [
@@ -74,9 +72,6 @@ __all__ = [
     "LocalBackend",
     "NetClient",
     "NetServer",
-    "ReplicaSet",
-    "ReplicaUnavailable",
-    "build_backend",
     "normalize_request",
     "run_load",
 ]

@@ -16,10 +16,10 @@ Two on-disk formats:
 * ``dir`` (format_version 2) — a directory bundle: ``manifest.json`` plus
   one *uncompressed* ``.npy`` per array (item table, each parameter, and
   any serialized index structures).  Arrays load with ``mmap_mode="r"``,
-  so N replicas on one host share page-cache pages instead of holding N
-  private copies, and prebuilt index structures (IVF centroids + lists,
+  so processes on one host share page-cache pages instead of each holding
+  a private copy, and prebuilt index structures (IVF centroids + lists,
   HNSW levels + adjacency, PQ/SQ codebooks + codes) re-attach in O(mmap)
-  instead of re-running k-means / graph insertion at every replica spawn.
+  instead of re-running k-means / graph insertion at every load.
 
 Both load through :func:`load_artifact`; both are inspectable with plain
 NumPy and loadable without constructing the autodiff graph.
@@ -76,8 +76,7 @@ class InferenceArtifact:
             (e.g. dataset preset / scale / seed for corpus reconstruction).
         fmt: on-disk format this instance came from (``"npz"`` or ``"dir"``;
             freshly exported, in-memory artifacts default to ``"npz"``).
-        source: path the artifact was loaded from, if any — replicas use it
-            to re-attach a ``dir`` bundle with a fresh mmap in the child.
+        source: path the artifact was loaded from, if any.
         prebuilt: serialized index structures shipped in a ``dir`` bundle:
             backend name → ``{"meta": dict, "arrays": dict}`` as produced by
             the index ``state()`` methods.
@@ -192,8 +191,8 @@ def write_artifact(artifact: InferenceArtifact, path: str | Path, *,
     memory-mappable directory bundle at exactly ``path``; ``prebuilt`` then
     names index backends (any of :data:`repro.serve.index.SERIALIZABLE_BACKENDS`)
     to build once here — with per-backend construction knobs from
-    ``index_options[backend]`` — and serialize into the bundle, so replicas
-    attach the built structure instead of rebuilding it.  Returns the
+    ``index_options[backend]`` — and serialize into the bundle, so a loader
+    attaches the built structure instead of rebuilding it.  Returns the
     written path.
     """
     path = Path(path)
@@ -338,7 +337,7 @@ def load_artifact(path: str | Path, mmap: bool = True) -> InferenceArtifact:
 
     Pure NumPy: no model construction, no autodiff graph.  Directory bundles
     load their arrays with ``mmap_mode="r"`` by default, so co-located
-    replicas share page-cache pages (``mmap=False`` forces private in-memory
+    processes share page-cache pages (``mmap=False`` forces private in-memory
     copies; ``npz`` artifacts are always in-memory).  Raises ``ValueError``
     on missing metadata or an unsupported format version.
     """

@@ -42,7 +42,7 @@ class MisslServingEncoder:
         self.artifact = artifact
         config = artifact.config
         # The item table stays as loaded — with a dir-format artifact that is
-        # a read-only memmap whose pages N co-located replicas share.  The
+        # a read-only memmap whose pages co-located processes share.  The
         # small weight arrays, in contrast, are touched on every request, so
         # mmap-backed ones are materialized once here to avoid per-request
         # page-fault jitter (values are identical — parity is unaffected).

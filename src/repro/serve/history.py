@@ -19,7 +19,7 @@ read version ``v`` and publish ``v + 1``, making one event invisible to the
 section is a few dict/list operations, orders of magnitude cheaper than the
 encodes they synchronize against.  The lock is a
 :func:`repro.obs.lockwatch.watched_rlock` so the runtime lock-order
-watchdog can place it in the fleet acquisition graph when enabled.
+watchdog can place it in the acquisition graph when enabled.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Network serving tier: NDJSON front-end, replica sharding, load generator.
+"""Network serving tier: NDJSON front-end, in-process backend, load generator.
 
 This module turns the in-process :class:`~repro.serve.service.RecommenderService`
 into a network service without changing a single scoring code path — the
@@ -8,39 +8,23 @@ the same artifact and request.
 
 Three layers:
 
+* :func:`normalize_request` — the one request parser, shared with the CLI's
+  stdin loop (``op`` ∈ recommend / append / stats / report; ``quit`` closes
+  a connection).  Integer fields must be JSON integers; anything else is a
+  ``ValueError`` naming the field.
 * :class:`NetServer` — an asyncio TCP front-end speaking newline-delimited
-  JSON with the exact request schema of the CLI's stdin loop (``op`` ∈
-  recommend / append / stats / report, plus ``quit`` to close a
-  connection).  Connections get per-read timeouts (slow or silent peers are
+  JSON.  Connections get per-read timeouts (slow or silent peers are
   dropped, never accumulated), the number of in-flight requests is bounded
   with *explicit load shedding* — an over-limit request is answered
   immediately with ``{"ok": false, "shed": true}`` instead of queueing
   without bound — and ``SIGTERM``/``SIGINT`` trigger a graceful drain:
-  stop accepting, finish what is executing, exit.
-* :class:`LocalBackend` / :class:`ReplicaSet` — the execution substrate
-  behind the front-end.  ``LocalBackend`` wraps one in-process service (its
-  micro-batcher aggregates the executor threads' concurrent submits).
-  ``ReplicaSet`` forks N single-worker
-  :class:`~repro.data.pipeline.WorkerPool` replicas, each holding the full
-  frozen artifact; requests route by user hash so one user's appends and
-  recommends land on the same replica, per-replica front-side
-  :class:`~repro.serve.batcher.MicroBatcher` instances coalesce concurrent
-  recommends into one cross-process task, and batches ride a per-replica
-  :class:`~repro.data.shm.ShmArena` in both directions.  A replica death is
-  noticed by the pool heartbeat (or its collector), every in-flight request
-  on it fails fast (``ReplicaUnavailable`` — never a hang), the request is
-  retried once on the survivor set, and a supervisor respawns the replica
-  from the same artifact snapshot.
+  stop accepting, finish what is executing, exit.  :class:`LocalBackend`
+  executes requests on one in-process service, whose micro-batcher
+  aggregates the executor threads' concurrent submits.
 * :class:`NetClient` and :func:`run_load` — a blocking NDJSON client and a
   closed-loop load generator (K persistent connections pacing a target
   aggregate QPS, warmup excluded from the measured window) used by the
   parity tests, the serve smoke and ``benchmarks/bench_p7_net.py``.
-
-Failure semantics in replica mode: appends are applied on the routed
-replica only, and a respawned replica restarts from the artifact-seeded
-history — appends accepted by a replica that later dies are lost.  That is
-the documented trade for never blocking the serving path on cross-replica
-replication.
 
 ``BLOCKING-IO-CONTAINMENT`` (see :mod:`repro.lint`) pins every raw socket
 and blocking ``recv``/``sendall`` in the tree to this module, so the async
@@ -59,20 +43,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.data.pipeline import WorkerError, WorkerPool
-from repro.data.shm import ShmArena
-from repro.obs import (current_context, get_logger, get_telemetry, span,
-                       watched_lock)
+from repro.obs import get_logger, get_telemetry, span
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceContext
 
-from .artifact import InferenceArtifact, load_artifact
-from .batcher import MicroBatcher
-from .history import HistoryStore
 from .service import RecommenderService
 
 __all__ = [
@@ -80,56 +57,59 @@ __all__ = [
     "LocalBackend",
     "NetClient",
     "NetServer",
-    "ReplicaSet",
-    "ReplicaUnavailable",
-    "build_backend",
     "normalize_request",
     "run_load",
 ]
 
 _log = get_logger(__name__)
 
-
-class ReplicaUnavailable(RuntimeError):
-    """A replica died (or timed out) with the request in flight.
-
-    Raised to fail fast instead of hanging; the :class:`ReplicaSet` retries
-    the request once on the survivor set before letting it escape to the
-    client as an explicit error response.
-    """
+_LINE_LIMIT = 1 << 16
+"""Longest request line the front-end frames (asyncio's default limit)."""
 
 
 # ----------------------------------------------------------------------
 # Request schema (shared with the CLI stdin loop)
 # ----------------------------------------------------------------------
 
-def normalize_request(request: dict, default_k: int = 10) -> dict:
-    """Validate one decoded request into a canonical op dict.
+def _integer(request: dict, name: str, default=None):
+    """``request[name]`` as a JSON integer (``bool`` is not one); ``default``
+    when absent, ``KeyError`` when absent without a default."""
+    value = request[name] if default is None else request.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name!r} must be a JSON integer, "
+                         f"got {type(value).__name__}")
+    return value
 
-    Mirrors the CLI stdin loop's schema exactly; raises ``KeyError`` /
-    ``ValueError`` / ``TypeError`` for malformed requests (the server turns
-    those into ``{"ok": false}`` responses).
+
+def normalize_request(request, default_k: int = 10) -> dict:
+    """Validate one decoded JSON request into a canonical op dict.
+
+    The only request parser: the TCP front-end and the CLI stdin loop both
+    call it.  Raises ``KeyError`` for a missing field and ``ValueError``
+    for anything else malformed — a non-object request, an unknown op, or
+    a ``user`` / ``item`` / ``k`` / ``timestamp`` that is not a JSON
+    integer (floats and booleans are rejected, never coerced).
     """
+    if not isinstance(request, dict):
+        raise ValueError(f"request must be a JSON object, "
+                         f"got {type(request).__name__}")
     op = request.get("op", "recommend")
     if op == "recommend":
-        return {"op": "recommend", "user": int(request["user"]),
-                "k": int(request.get("k", default_k))}
+        return {"op": "recommend", "user": _integer(request, "user"),
+                "k": _integer(request, "k", default_k)}
     if op == "append":
+        behavior = request["behavior"]
+        if not isinstance(behavior, str):
+            raise ValueError(f"'behavior' must be a JSON string, "
+                             f"got {type(behavior).__name__}")
         timestamp = request.get("timestamp")
-        return {"op": "append", "user": int(request["user"]),
-                "item": int(request["item"]),
-                "behavior": str(request["behavior"]),
-                "timestamp": None if timestamp is None else int(timestamp)}
+        return {"op": "append", "user": _integer(request, "user"),
+                "item": _integer(request, "item"), "behavior": behavior,
+                "timestamp": (None if timestamp is None
+                              else _integer(request, "timestamp"))}
     if op in ("stats", "report"):
         return {"op": op}
     raise ValueError(f"unknown op {op!r} (expected recommend/append/stats/report)")
-
-
-def _recommend_response(user: int, items: Sequence[int],
-                        scores: Sequence[float]) -> dict:
-    return {"ok": True, "user": int(user),
-            "items": [int(item) for item in items],
-            "scores": [float(score) for score in scores]}
 
 
 # ----------------------------------------------------------------------
@@ -137,14 +117,12 @@ def _recommend_response(user: int, items: Sequence[int],
 # ----------------------------------------------------------------------
 
 class LocalBackend:
-    """One in-process service behind the front-end (``--replicas 0``).
+    """One in-process service behind the front-end.
 
     The executor threads' concurrent :meth:`process` calls all funnel into
     the service's existing micro-batcher, so network concurrency turns into
     batched encodes exactly like in-process concurrency does.
     """
-
-    kind = "local"
 
     def __init__(self, service: RecommenderService):
         self.service = service
@@ -154,8 +132,9 @@ class LocalBackend:
         errors (the server formats them)."""
         if op["op"] == "recommend":
             recs = self.service.recommend(op["user"], k=op["k"])
-            return _recommend_response(op["user"], [r.item for r in recs],
-                                       [r.score for r in recs])
+            return {"ok": True, "user": op["user"],
+                    "items": [int(r.item) for r in recs],
+                    "scores": [float(r.score) for r in recs]}
         if op["op"] == "append":
             version = self.service.append_event(
                 op["user"], op["item"], op["behavior"],
@@ -177,526 +156,6 @@ class LocalBackend:
         self.service.close()
 
 
-def _emit_replica_request_span(telemetry, context, user: int,
-                               batch_size: int, seconds: float) -> None:
-    """Record one per-request ``replica.request`` span under a remote parent.
-
-    A whole micro-batch crosses the process boundary as one task, so the
-    batched ``serve.*`` spans can only hang from one request's trace.  Every
-    request in the batch additionally gets this explicit span — emitted with
-    the request's own ``(trace_id, span_id, request_id)`` parentage so each
-    front-end ``net.request`` tree reaches into the replica that served it.
-    """
-    parent = TraceContext.unpack(context)
-    fields = dict(name="replica.request",
-                  span_id=telemetry.next_span_id(),
-                  parent_id=parent.span_id, trace_id=parent.trace_id,
-                  start=time.perf_counter() - seconds, seconds=seconds,
-                  attrs={"user": int(user), "batch": int(batch_size)},
-                  thread=threading.current_thread().name)
-    if parent.request_id is not None:
-        fields["request_id"] = parent.request_id
-    telemetry.emit("span", **fields)
-
-
-def _replica_factory(artifact: InferenceArtifact, history: HistoryStore,
-                     options: dict) -> Callable[[dict], object]:
-    """Worker-side entry point: build a full service, serve op batches.
-
-    Runs inside the forked replica process.  Results use compact markers —
-    ``("rec", items_ndarray, scores_list)`` per recommend (the ndarray rides
-    the shm arena), ``("ok", payload)`` for the rest, ``("err", type, msg)``
-    for per-request failures — so one bad request never fails its batch.
-
-    The service publishes its metrics into the replica's relay registry when
-    fleet telemetry is on (see :func:`repro.obs.enable_worker_telemetry`, which
-    the pool installed before this factory ran), so per-replica ``serve.*``
-    counters land in the spool's final snapshot and merge into the fleet view.
-
-    A directory-format artifact is **re-attached from disk** here rather than
-    used through the fork-inherited reference: the fresh ``mmap_mode="r"``
-    load gives this replica file-backed, page-cache-shared array pages (N
-    replicas, one physical copy) and — with prebuilt index structures in the
-    bundle — makes respawn O(mmap) instead of re-running k-means / graph
-    insertion.  If the bundle vanished from disk the inherited copy still
-    works, so a crash-respawn never fails on a moved artifact.
-    """
-    options = dict(options)
-    telemetry = get_telemetry()
-    if telemetry is not None:
-        options.setdefault("registry", telemetry.registry)
-    if artifact.fmt == "dir" and artifact.source:
-        try:
-            artifact = load_artifact(artifact.source)
-        except (OSError, ValueError) as error:
-            get_logger("repro.serve.net").warning(
-                "replica could not re-attach artifact bundle %s (%s); "
-                "serving from the fork-inherited copy", artifact.source, error)
-    service = RecommenderService(artifact, history, **options)
-
-    def handle(task: dict):
-        kind = task["kind"]
-        if kind == "recommend":
-            users = [int(user) for user in task["users"]]
-            ks = [int(k) for k in task["ks"]]
-            contexts = task.get("contexts") or [None] * len(users)
-            results: list = [None] * len(users)
-            pairs: list[tuple[int, int]] = []
-            valid: list[int] = []
-            for idx, (user, k) in enumerate(zip(users, ks)):
-                if k < 1:
-                    results[idx] = ("err", "ValueError", "k must be positive")
-                elif not service.history.has_user(user):
-                    results[idx] = ("err", "KeyError",
-                                    f"user {user} not in the history store")
-                else:
-                    valid.append(idx)
-                    pairs.append((user, k))
-            if pairs:
-                started = time.perf_counter()
-                ranked = service.recommend_pairs(pairs)
-                elapsed = time.perf_counter() - started
-                telemetry = get_telemetry()
-                for idx, recs in zip(valid, ranked):
-                    items = np.fromiter((r.item for r in recs),
-                                        dtype=np.int64, count=len(recs))
-                    scores = [r.score for r in recs]
-                    results[idx] = ("rec", items, scores)
-                    if telemetry is not None and contexts[idx] is not None:
-                        _emit_replica_request_span(
-                            telemetry, contexts[idx], users[idx],
-                            len(pairs), elapsed)
-            return results
-        if kind == "append":
-            try:
-                version = service.append_event(
-                    task["user"], task["item"], task["behavior"],
-                    timestamp=task["timestamp"])
-            except (KeyError, ValueError, TypeError) as error:
-                return ("err", type(error).__name__, str(error))
-            return ("ok", {"user": task["user"], "version": version})
-        if kind == "stats":
-            return ("ok", service.stats())
-        if kind == "report":
-            return ("ok", service.report())
-        raise ValueError(f"unknown replica task kind {kind!r}")
-
-    return handle
-
-
-class _Ticket:
-    """One in-flight cross-process task awaited by a front-end thread."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.value = None
-        self.error: BaseException | None = None
-
-
-class _Replica:
-    """Front-end handle for one forked replica process.
-
-    Owns the single-worker pool, its shm arena, a collector thread matching
-    pool results back to tickets, and the per-replica micro-batcher that
-    coalesces concurrent recommends into one cross-process task.
-    """
-
-    def __init__(self, replica_id: int, artifact: InferenceArtifact,
-                 history: HistoryStore, service_options: dict,
-                 max_batch: int, max_wait_ms: float, pool_timeout: float,
-                 arena_slot_bytes: int,
-                 registry: MetricsRegistry | None = None):
-        self.id = replica_id
-        self.generation = 0
-        registry = registry if registry is not None else MetricsRegistry()
-        self._replica_seconds = registry.histogram(
-            "net.request.replica_seconds")
-        self._batch_wait = registry.histogram(
-            "net.request.batch_wait_seconds")
-        self.alive = False
-        self._artifact = artifact
-        self._history = history
-        self._service_options = service_options
-        self._pool_timeout = pool_timeout
-        self._arena_slot_bytes = arena_slot_bytes
-        self._lock = watched_lock("serve.net.replica")
-        self._pending: dict[int, _Ticket] = {}
-        self._task_ids = itertools.count()
-        self._closing = False
-        self.pool: WorkerPool | None = None
-        self.arena: ShmArena | None = None
-        self._collector: threading.Thread | None = None
-        self._spawn()
-        self.batcher = MicroBatcher(self._flush_recommends,
-                                    max_batch=max_batch,
-                                    max_wait_ms=max_wait_ms,
-                                    on_flush=self._record_batch)
-
-    # -- lifecycle -------------------------------------------------------
-    def _spawn(self) -> None:
-        """Fork a fresh worker process (initial start and respawn)."""
-        self.arena = ShmArena(slot_bytes=self._arena_slot_bytes, num_slots=8)
-        try:
-            self.pool = WorkerPool(
-                _replica_factory,
-                initargs=(self._artifact, self._history,
-                          self._service_options),
-                num_workers=1, timeout=self._pool_timeout,
-                transport=self.arena, transport_copy=True,
-                transport_requests=True, transport_min_bytes=64,
-                process_role=f"replica{self.id}",
-                generation=self.generation)
-        except BaseException:
-            # A failed fork must not strand the arena segment it was
-            # about to adopt (respawn would replace, not close, it).
-            self.arena.close()
-            self.arena = None
-            raise
-        pool = self.pool
-        self._collector = threading.Thread(
-            target=self._collect, args=(pool,), daemon=True,
-            name=f"repro-replica-{self.id}-collector")
-        with self._lock:
-            self.alive = True
-        self._collector.start()
-
-    def respawn(self) -> None:
-        """Replace a dead worker with a fresh fork of the same artifact."""
-        old_arena = self.arena
-        self.generation += 1
-        self._spawn()
-        if old_arena is not None:
-            old_arena.close()
-        _log.info("replica %d respawned (generation %d)",
-                  self.id, self.generation)
-
-    def close(self) -> None:
-        """Drain the batcher, stop the worker, join the collector."""
-        self._closing = True
-        self.batcher.close()
-        with self._lock:
-            self.alive = False
-        if self.pool is not None:
-            self.pool.close()
-        if self._collector is not None:
-            self._collector.join(timeout=10.0)
-        self._fail_pending(ReplicaUnavailable(
-            f"replica {self.id} shut down"))
-        if self.arena is not None:
-            self.arena.close()
-
-    # -- result collection ----------------------------------------------
-    def _collect(self, pool: WorkerPool) -> None:
-        while True:
-            try:
-                _, task_id, value = pool.next_result()
-            except WorkerError as error:
-                with self._lock:
-                    self.alive = False
-                if not self._closing:
-                    _log.warning("replica %d died: %s", self.id,
-                                 str(error).splitlines()[0])
-                self._fail_pending(ReplicaUnavailable(
-                    f"replica {self.id} died with the request in flight"))
-                return
-            except (OSError, ValueError, EOFError):
-                # queues closed under us: normal shutdown path
-                with self._lock:
-                    self.alive = False
-                self._fail_pending(ReplicaUnavailable(
-                    f"replica {self.id} shut down"))
-                return
-            with self._lock:
-                ticket = self._pending.pop(task_id, None)
-            if ticket is not None:
-                ticket.value = value
-                ticket.event.set()
-
-    def _fail_pending(self, error: ReplicaUnavailable) -> None:
-        with self._lock:
-            tickets = list(self._pending.values())
-            self._pending.clear()
-        for ticket in tickets:
-            ticket.error = error
-            ticket.event.set()
-
-    # -- calling ---------------------------------------------------------
-    def call(self, task: dict, timeout: float | None = None, context=None):
-        """Ship one task to the replica and block for its result.
-
-        ``context`` is an optional packed trace context forwarded with the
-        task (the batcher's flush thread has no span stack of its own, so
-        the front-end captures the context where the request executes).
-
-        Raises :class:`ReplicaUnavailable` when the replica is dead, dies
-        mid-flight, or the result does not arrive in time — the caller
-        (ReplicaSet) decides whether to retry on a survivor.
-        """
-        if timeout is None:
-            timeout = self._pool_timeout + 10.0
-        with self._lock:
-            if not self.alive:
-                raise ReplicaUnavailable(f"replica {self.id} is down")
-            task_id = next(self._task_ids)
-            ticket = _Ticket()
-            self._pending[task_id] = ticket
-            pool = self.pool
-        started = time.perf_counter()
-        try:
-            pool.submit(task_id, task, context=context)
-        except (RuntimeError, OSError, ValueError) as error:
-            with self._lock:
-                self._pending.pop(task_id, None)
-            raise ReplicaUnavailable(
-                f"replica {self.id} rejected the task: {error}") from error
-        if not ticket.event.wait(timeout):
-            with self._lock:
-                self._pending.pop(task_id, None)
-            raise ReplicaUnavailable(
-                f"replica {self.id} gave no result within {timeout:.0f}s")
-        if ticket.error is not None:
-            raise ticket.error
-        self._replica_seconds.record(time.perf_counter() - started)
-        return ticket.value
-
-    def _record_batch(self, size: int, delays: list[float]) -> None:
-        """Micro-batcher flush observer: per-request queue-wait histogram."""
-        for delay in delays:
-            self._batch_wait.record(delay)
-
-    def _flush_recommends(self, ops: Sequence[dict]) -> list[dict]:
-        """Micro-batch flush: one cross-process task for the whole batch.
-
-        Trace contexts the front-end attached to the ops ride along — the
-        first one parents the replica's ``worker.task``/``serve.*`` spans,
-        and the full per-op list lets the replica emit one
-        ``replica.request`` span per correlated request in the batch.
-        """
-        task = {
-            "kind": "recommend",
-            "users": np.fromiter((op["user"] for op in ops),
-                                 dtype=np.int64, count=len(ops)),
-            "ks": np.fromiter((op["k"] for op in ops),
-                              dtype=np.int64, count=len(ops)),
-        }
-        contexts = [op.get("ctx") for op in ops]
-        first = next((ctx for ctx in contexts if ctx is not None), None)
-        if first is not None:
-            task["contexts"] = contexts
-        markers = self.call(task, context=first)
-        return [_marker_to_response(marker, op) for marker, op in
-                zip(markers, ops)]
-
-
-def _marker_to_response(marker, op: dict) -> dict:
-    kind = marker[0]
-    if kind == "rec":
-        _, items, scores = marker
-        return _recommend_response(op["user"], items, scores)
-    if kind == "ok":
-        payload = marker[1]
-        if op["op"] == "append":
-            return {"ok": True, **payload}
-        return {"ok": True, op["op"]: payload}
-    if kind == "err":
-        return {"ok": False, "error": marker[2]}
-    raise ValueError(f"unknown result marker {kind!r}")
-
-
-class ReplicaSet:
-    """N forked single-worker replicas with user-hash routing and failover.
-
-    Args:
-        artifact / history: the frozen snapshot every replica starts from
-            (fork-inherited; a respawn restarts from the same snapshot).
-        replicas: replica count (at least 1).
-        service_options: kwargs for each replica's
-            :class:`RecommenderService` (index backend, cache bounds, ...).
-        max_batch / max_wait_ms: per-replica front-side micro-batching.
-        pool_timeout: per-task heartbeat for the worker pools (seconds).
-        registry: metrics registry for the ``serve.net.replica.*`` counters.
-        respawn_poll: supervisor poll interval for dead replicas (seconds).
-
-    Routing: ``user`` hashes to a primary replica, so one user's appends and
-    recommends stay on one replica's history copy.  When the primary is down
-    the request goes to the next live replica, and a request that fails with
-    :class:`ReplicaUnavailable` mid-flight is retried exactly once on the
-    survivor set — after that the error is surfaced explicitly.
-    """
-
-    kind = "replicas"
-
-    def __init__(self, artifact: InferenceArtifact, history: HistoryStore,
-                 replicas: int = 2, service_options: dict | None = None,
-                 max_batch: int = 32, max_wait_ms: float = 5.0,
-                 pool_timeout: float | None = None,
-                 registry: MetricsRegistry | None = None,
-                 respawn_poll: float = 0.2,
-                 arena_slot_bytes: int = 1 << 20):
-        if replicas < 1:
-            raise ValueError(f"need at least one replica, got {replicas}")
-        if pool_timeout is None:
-            pool_timeout = float(os.environ.get("REPRO_POOL_TIMEOUT", "120"))
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._respawns = self.registry.counter("serve.net.replica.respawns")
-        self._retries = self.registry.counter("serve.net.replica.retries")
-        self._deaths = self.registry.counter("serve.net.replica.deaths")
-        self._closed = False
-        self.replicas = [
-            _Replica(i, artifact, history, dict(service_options or {}),
-                     max_batch=max_batch, max_wait_ms=max_wait_ms,
-                     pool_timeout=pool_timeout,
-                     arena_slot_bytes=arena_slot_bytes,
-                     registry=self.registry)
-            for i in range(replicas)
-        ]
-        self._respawn_poll = respawn_poll
-        self._stop = threading.Event()
-        self._supervisor = threading.Thread(target=self._supervise,
-                                            daemon=True,
-                                            name="repro-replica-supervisor")
-        self._supervisor.start()
-
-    # -- routing ---------------------------------------------------------
-    @staticmethod
-    def route(user: int, num_replicas: int) -> int:
-        """Primary replica for a user (Knuth multiplicative hash)."""
-        return ((int(user) * 2654435761) & 0xFFFFFFFF) % num_replicas
-
-    def _route_order(self, user: int) -> list[_Replica]:
-        primary = self.route(user, len(self.replicas))
-        order = [self.replicas[(primary + offset) % len(self.replicas)]
-                 for offset in range(len(self.replicas))]
-        live = [replica for replica in order if replica.alive]
-        if not live:
-            raise ReplicaUnavailable("no live replicas")
-        return live
-
-    def _with_retry(self, user: int, fn: Callable[[_Replica], dict]) -> dict:
-        last: ReplicaUnavailable | None = None
-        for attempt in range(2):
-            try:
-                candidates = self._route_order(user)
-            except ReplicaUnavailable as error:
-                last = error
-                break
-            replica = candidates[min(attempt, len(candidates) - 1)]
-            try:
-                return fn(replica)
-            except ReplicaUnavailable as error:
-                last = error
-                if attempt == 0:
-                    self._retries.inc()
-        raise last
-
-    # -- request surface -------------------------------------------------
-    def process(self, op: dict) -> dict:
-        """Execute one normalized op with routing + single retry."""
-        if op["op"] == "recommend":
-            return self._with_retry(
-                op["user"],
-                lambda replica: replica.batcher.submit(
-                    op, timeout=replica._pool_timeout + 15.0))
-        if op["op"] == "append":
-            task = {"kind": "append", "user": op["user"], "item": op["item"],
-                    "behavior": op["behavior"], "timestamp": op["timestamp"]}
-            marker = self._with_retry(
-                op["user"],
-                lambda replica: replica.call(task, context=op.get("ctx")))
-            return _marker_to_response(marker, op)
-        if op["op"] == "stats":
-            return {"ok": True, "stats": self.stats()}
-        if op["op"] == "report":
-            return {"ok": True, "report": self.report()}
-        raise ValueError(f"unknown op {op['op']!r}")
-
-    def stats(self) -> dict:
-        """Per-replica service stats plus replica-set counters."""
-        per_replica = []
-        for replica in self.replicas:
-            entry = {"replica": replica.id, "generation": replica.generation,
-                     "alive": replica.alive}
-            if replica.alive:
-                try:
-                    entry["stats"] = replica.call({"kind": "stats"})[1]
-                except ReplicaUnavailable:
-                    entry["alive"] = False
-            per_replica.append(entry)
-        return {"replicas": per_replica,
-                "respawns": self._respawns.value,
-                "retries": self._retries.value,
-                "deaths": self._deaths.value}
-
-    def report(self) -> str:
-        parts = []
-        for replica in self.replicas:
-            if not replica.alive:
-                parts.append(f"replica {replica.id}: down")
-                continue
-            try:
-                text = replica.call({"kind": "report"})[1]
-            except ReplicaUnavailable:
-                text = "down"
-            parts.append(f"replica {replica.id} "
-                         f"(generation {replica.generation}):\n{text}")
-        return "\n".join(parts)
-
-    # -- supervision ------------------------------------------------------
-    def _supervise(self) -> None:
-        while not self._stop.wait(self._respawn_poll):
-            for replica in self.replicas:
-                if self._closed:
-                    return
-                if not replica.alive and not replica._closing:
-                    self._deaths.inc()
-                    try:
-                        replica.respawn()
-                        self._respawns.inc()
-                    except Exception:  # pragma: no cover - fork failure
-                        _log.exception("replica %d respawn failed", replica.id)
-
-    def kill_replica(self, replica_id: int) -> None:
-        """Chaos hook: hard-kill one replica's worker process (tests and the
-        failover benchmark use this to exercise fail-fast + respawn)."""
-        replica = self.replicas[replica_id]
-        pool = replica.pool
-        if pool is not None:
-            for worker in pool._workers:
-                if worker.is_alive():
-                    worker.terminate()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._stop.set()
-        self._supervisor.join(timeout=10.0)
-        for replica in self.replicas:
-            replica.close()
-
-
-def build_backend(artifact: InferenceArtifact, history: HistoryStore,
-                  replicas: int = 0, service_options: dict | None = None,
-                  max_batch: int = 32, max_wait_ms: float = 5.0,
-                  registry: MetricsRegistry | None = None,
-                  pool_timeout: float | None = None):
-    """The serving backend for a replica count: 0 → in-process, N ≥ 1 →
-    a :class:`ReplicaSet` of N forked workers."""
-    if replicas <= 0:
-        service = RecommenderService(artifact, history,
-                                     max_batch=max_batch,
-                                     max_wait_ms=max_wait_ms,
-                                     registry=registry,
-                                     **(service_options or {}))
-        return LocalBackend(service)
-    return ReplicaSet(artifact, history, replicas=replicas,
-                      service_options=service_options, max_batch=max_batch,
-                      max_wait_ms=max_wait_ms, registry=registry,
-                      pool_timeout=pool_timeout)
-
-
 # ----------------------------------------------------------------------
 # Async TCP front-end
 # ----------------------------------------------------------------------
@@ -705,8 +164,8 @@ class NetServer:
     """Newline-delimited-JSON TCP front-end over a serving backend.
 
     Args:
-        backend: :class:`LocalBackend` or :class:`ReplicaSet` (not owned —
-            the caller closes it after :meth:`stop`).
+        backend: a :class:`LocalBackend` (not owned — the caller closes it
+            after :meth:`stop`).
         host / port: bind address; port 0 picks a free port (read
             :attr:`address` after start).
         max_inflight: bound on concurrently executing requests across all
@@ -742,8 +201,8 @@ class NetServer:
         self._request_seconds = self.registry.histogram("net.request.seconds")
         self._dispatch_seconds = self.registry.histogram(
             "net.request.dispatch_seconds")
-        # Correlates one request across front-end, batcher and replica: the
-        # pid keeps ids unique across servers sharing one event spool.
+        # Correlates one request's response, its ``net.request`` span and
+        # the service spans under it.
         self._request_ids = itertools.count(1)
         self.address: tuple[str, int] | None = None
         self._inflight = 0
@@ -820,7 +279,8 @@ class NetServer:
             max_workers=min(self.max_inflight, 64),
             thread_name_prefix="repro-net")
         server = await asyncio.start_server(self._handle_connection,
-                                            self.host, self.port)
+                                            self.host, self.port,
+                                            limit=_LINE_LIMIT)
         self.address = server.sockets[0].getsockname()[:2]
         if install_signals:
             for signum in (signal.SIGTERM, signal.SIGINT):
@@ -866,6 +326,14 @@ class NetServer:
                 except asyncio.TimeoutError:
                     self._read_timeouts.inc()
                     break
+                except ValueError:
+                    # Over the stream limit: the rest of the line cannot be
+                    # framed, so answer once and drop the connection.
+                    self._errors.inc()
+                    await self._send(writer, {
+                        "ok": False,
+                        "error": f"request line exceeds {_LINE_LIMIT} bytes"})
+                    break
                 except (ConnectionError, OSError):
                     break
                 if not line:
@@ -875,7 +343,7 @@ class NetServer:
                     continue
                 try:
                     request = json.loads(text)
-                except json.JSONDecodeError as error:
+                except (ValueError, RecursionError) as error:
                     self._errors.inc()
                     await self._send(writer, {"ok": False,
                                               "error": f"bad json: {error}"})
@@ -931,12 +399,10 @@ class NetServer:
         """Execute one op on the backend (runs on an executor thread).
 
         With telemetry enabled the whole dispatch runs inside a
-        ``net.request`` root span correlated by ``request_id``; the packed
-        trace context rides on the op (``op["ctx"]``) so the replica tier —
-        which executes on batcher threads and forked workers — can parent
-        its spans on this one.  Error responses always carry the
-        ``request_id`` so a client-visible failure is greppable in the
-        fleet's event spools.
+        ``net.request`` root span correlated by ``request_id``, which the
+        service spans opened under it inherit.  Error responses always
+        carry the ``request_id`` so a client-visible failure is greppable
+        in the event log.
         """
         started = time.monotonic()
         if get_telemetry() is None:
@@ -944,9 +410,6 @@ class NetServer:
         else:
             with span("net.request", op=op["op"]) as net_span:
                 net_span.request_id = request_id
-                context = current_context(request_id=request_id)
-                if context is not None:
-                    op["ctx"] = context.pack()
                 response = self._execute(op)
         self._dispatch_seconds.record(time.monotonic() - started)
         if not response.get("ok", False):
@@ -958,8 +421,6 @@ class NetServer:
     def _execute(self, op: dict) -> dict:
         try:
             return self.backend.process(op)
-        except ReplicaUnavailable as error:
-            return {"ok": False, "error": str(error), "retryable": True}
         except (KeyError, ValueError, TypeError) as error:
             return {"ok": False, "error": str(error)}
 
@@ -1091,19 +552,15 @@ class LoadReport:
 def run_load(host: str, port: int, users: Sequence[int], *,
              connections: int = 4, target_qps: float = 200.0,
              total_requests: int = 400, warmup: int = 50, k: int = 10,
-             seed: int = 0, timeout: float = 30.0,
-             on_request: Callable[[int], None] | None = None) -> LoadReport:
+             seed: int = 0, timeout: float = 30.0) -> LoadReport:
     """Closed-loop load generation against a running :class:`NetServer`.
 
     ``connections`` persistent clients send ``total_requests`` recommend
     requests overall, paced to an aggregate ``target_qps`` (0 disables
     pacing).  The first ``warmup`` requests per run are excluded from the
     latency sample.  Every request terminates — answered, shed, or an
-    explicit error — so the report's ``sent`` always reaches the target
-    even under replica failure; a dropped connection reconnects once.
-
-    ``on_request`` (optional) is invoked with the global request ordinal
-    before each send — the chaos tests use it to kill a replica mid-load.
+    explicit error — so the report's ``sent`` always reaches the target;
+    a dropped connection reconnects once.
     """
     if connections < 1:
         raise ValueError("connections must be positive")
@@ -1131,8 +588,6 @@ def run_load(host: str, port: int, users: Sequence[int], *,
                     delay = due - time.monotonic()
                     if delay > 0:
                         time.sleep(delay)
-                if on_request is not None:
-                    on_request(ordinal)
                 user = int(chosen[ordinal])
                 sent_at = time.monotonic()
                 try:

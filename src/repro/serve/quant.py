@@ -1,7 +1,7 @@
 """Quantized retrieval: PQ codebooks and int8 scalar-quantized item tables.
 
 The approximate backends in :mod:`repro.serve.index` shrink *scan cost* but
-every replica still holds the full float32 item block.  This module shrinks
+every server still holds the full float32 item block.  This module shrinks
 the *table itself* — the highest-leverage memory lever for the
 industrial-scale catalogs MISSL's setting targets:
 

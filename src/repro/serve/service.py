@@ -168,25 +168,6 @@ class RecommenderService:
             self.metrics.record_request(elapsed)
         return dict(zip(users, results))
 
-    def recommend_pairs(self, pairs: Sequence[tuple[int, int]]
-                        ) -> list[list[Recommendation]]:
-        """One explicit batch of ``(user, k)`` pairs, results aligned with
-        the input (duplicates allowed; bypasses the queue like
-        :meth:`recommend_many`).  The replica workers use this so a whole
-        micro-batch crosses the process boundary as one task."""
-        for user, k in pairs:
-            if k < 1:
-                raise ValueError("k must be positive")
-            if not self.history.has_user(user):
-                raise KeyError(f"user {user} not in the history store")
-        started = self._clock()
-        results = self._process_batch(list(pairs))
-        elapsed = self._clock() - started
-        self.metrics.record_batch(len(pairs), [0.0] * len(pairs))
-        for _ in pairs:
-            self.metrics.record_request(elapsed)
-        return results
-
     def append_event(self, user: int, item: int, behavior: str,
                      timestamp: int | None = None) -> int:
         """Record a new interaction and invalidate the user's cached

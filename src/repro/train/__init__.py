@@ -1,8 +1,6 @@
-"""``repro.train`` — optimization loop, data-parallel engine, and history."""
+"""``repro.train`` — optimization loop and history."""
 
-from .ddp import DataParallelEngine
 from .history import EpochRecord, History
 from .trainer import TrainConfig, Trainer
 
-__all__ = ["TrainConfig", "Trainer", "History", "EpochRecord",
-           "DataParallelEngine"]
+__all__ = ["TrainConfig", "Trainer", "History", "EpochRecord"]

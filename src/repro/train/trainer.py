@@ -23,16 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.pipeline import PrefetchLoader, fork_available
+from repro.data.pipeline import PrefetchLoader
 from repro.data.sampling import NegativeSampler
 from repro.data.splits import DataSplit
-from repro.eval.evaluator import EvalShardPool, evaluate_ranking, precollate
+from repro.eval.evaluator import evaluate_ranking, precollate
 from repro.eval.protocol import CandidateSets
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.schedule import ConstantLR, StepDecay, WarmupCosine
 from repro.obs import get_logger, get_telemetry, span
 
-from .ddp import DataParallelEngine
 from .history import EpochRecord, History
 
 __all__ = ["TrainConfig", "Trainer"]
@@ -51,24 +50,6 @@ class TrainConfig:
     monitor: str = "NDCG@10"
     num_eval_negatives: int = 99
     seed: int = 0
-    num_workers: int = 0
-    """Input-pipeline worker processes (0 = in-process assembly; any value
-    yields a bitwise-identical batch stream for a fixed seed)."""
-    prefetch: int = 2
-    """Batches kept in flight per worker (bounded prefetch depth)."""
-    data_parallel: bool = False
-    """Shard each optimizer step's forward/backward across ``num_workers``
-    replicas with a fixed-order gradient allreduce (see
-    :mod:`repro.train.ddp`).  Off by default: the sharded loss decomposes
-    batch-coupled SSL terms into micro-batches, so it is a different (still
-    deterministic) training trajectory than the serial path."""
-    grad_shards: int = 4
-    """Micro-batches per optimizer step under ``data_parallel``.  Fixes the
-    gradient reduction order — results are bitwise-identical across any
-    ``num_workers`` for the same ``grad_shards``."""
-    worker_timeout: float | None = None
-    """Heartbeat timeout (seconds) for loader / data-parallel / eval worker
-    pools; ``None`` defers to ``REPRO_POOL_TIMEOUT`` (default 120)."""
     checkpoint_path: str | None = None
     """When set, the best-so-far model is also written to this .npz path
     (plus a ``<path>.manifest.json`` run manifest at the end of fit)."""
@@ -87,14 +68,6 @@ class TrainConfig:
             raise ValueError("patience must be positive")
         if self.lr_schedule not in ("constant", "warmup_cosine", "step"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
-        if self.prefetch < 1:
-            raise ValueError("prefetch depth must be >= 1")
-        if self.grad_shards < 1:
-            raise ValueError("grad_shards must be >= 1")
-        if self.worker_timeout is not None and self.worker_timeout <= 0:
-            raise ValueError("worker_timeout must be positive")
 
 
 class Trainer:
@@ -134,8 +107,7 @@ class Trainer:
     def _validation_batches(self) -> list[tuple]:
         if self._valid_batches is None:
             self._valid_batches = precollate(self.split.valid, self.valid_candidates,
-                                             self.dataset.schema,
-                                             num_workers=self.config.num_workers)
+                                             self.dataset.schema)
         return self._valid_batches
 
     def _train_negatives(self) -> int:
@@ -195,25 +167,6 @@ class Trainer:
                                    else {"total": value})
         return losses
 
-    def _train_epoch_ddp(self, epoch: int, engine: DataParallelEngine,
-                         optimizer) -> list[float]:
-        """One data-parallel pass: the engine produces each step's combined
-        gradient; clipping, the optimizer step, and every callback hook run
-        here on the parent, exactly as in the serial loop."""
-        losses = []
-        for step, rows in enumerate(engine.epoch_chunks(epoch)):
-            with span("train.step", epoch=epoch, step=step):
-                self._dispatch("on_batch_start", epoch, step)
-                value, breakdown = engine.step(epoch, step, rows)
-                clip_grad_norm(self.model.parameters(), self.config.clip_norm)
-                optimizer.step()
-                losses.append(value)
-                if self.callbacks:
-                    self._dispatch("on_batch_end", epoch, step, value,
-                                   breakdown if breakdown is not None
-                                   else {"total": value})
-        return losses
-
     def fit(self, verbose: bool = False) -> History:
         """Train with early stopping; the model ends at its best checkpoint."""
         config = self.config
@@ -233,125 +186,76 @@ class Trainer:
         # (callbacks or telemetry) will consume it.
         want_breakdown = ((bool(self.callbacks) or get_telemetry() is not None)
                           and self._supports_breakdown())
-        loader: PrefetchLoader | None = None
-        engine: DataParallelEngine | None = None
-        self.ddp_engine = None
-        if config.data_parallel:
-            # Sharded forward/backward: the engine assembles each shard's
-            # micro-batch from the packed split directly (workers inherit it
-            # by reference), so no loader is needed.
-            from repro.data.pipeline import PackedExamples
-            engine = DataParallelEngine(
-                self.model, self.sampler,
-                PackedExamples.from_examples(self.split.train, self.dataset.schema),
-                config.batch_size, negatives=self._train_negatives(),
-                seed=config.seed, grad_shards=config.grad_shards,
-                num_workers=config.num_workers,
-                want_breakdown=want_breakdown, timeout=config.worker_timeout)
-            # Exposed so health callbacks can name the shard/worker behind a
-            # bad gradient (engine.last_shard_health) during on_batch_end.
-            self.ddp_engine = engine
-        else:
-            # Prefetching loader: batch assembly + negative presampling run
-            # off the main process when num_workers > 0, and the stream is
-            # seeded so every worker count produces identical batches.
-            loader = PrefetchLoader(
-                self.split.train, self.dataset.schema, config.batch_size,
-                seed=config.seed, num_workers=config.num_workers,
-                prefetch=config.prefetch, negatives=self._train_negatives(),
-                dataset=self.dataset, timeout=config.worker_timeout)
-        # Per-epoch validation reuses one long-lived sharded ranking pool
-        # (parameters resynchronized through shared memory each pass) —
-        # forking a fresh pool per epoch is what made sharded evaluation
-        # lose to serial.
-        eval_pool: EvalShardPool | None = None
-        if (config.num_workers > 0 and fork_available()
-                and len(self._validation_batches()) > 1):
-            eval_pool = EvalShardPool(self.model, self._validation_batches(),
-                                      num_workers=config.num_workers,
-                                      timeout=config.worker_timeout)
+        loader = PrefetchLoader(
+            self.split.train, self.dataset.schema, config.batch_size,
+            seed=config.seed, negatives=self._train_negatives(),
+            dataset=self.dataset)
         history = History()
         best_state = None
         epochs_since_best = 0
         self._dispatch("on_fit_start")
-        try:
-            with span("train.fit", model=type(self.model).__name__,
-                      epochs=config.epochs, batch_size=config.batch_size):
-                for epoch in range(config.epochs):
-                    with span("train.epoch", epoch=epoch) as epoch_span:
-                        self._dispatch("on_epoch_start", epoch)
-                        train_start = time.perf_counter()
-                        schedule.step()
-                        self.model.train()
-                        with span("train.train_pass", epoch=epoch):
-                            if engine is not None:
-                                losses = self._train_epoch_ddp(epoch, engine,
-                                                               optimizer)
-                            else:
-                                losses = self._train_epoch(epoch, loader, optimizer,
-                                                           want_breakdown)
-                        eval_start = time.perf_counter()
-                        self.model.eval()
-                        with span("train.eval_pass", epoch=epoch):
-                            if eval_pool is not None:
-                                metrics = eval_pool.evaluate()
-                            else:
-                                metrics = evaluate_ranking(
-                                    self.model, self.split.valid, self.valid_candidates,
-                                    self.dataset.schema,
-                                    precollated=self._validation_batches())
-                        now = time.perf_counter()
-                        train_seconds = eval_start - train_start
-                        eval_seconds = now - eval_start
-                        record = EpochRecord(
-                            epoch=epoch,
-                            train_loss=float(np.mean(losses)) if losses else float("nan"),
-                            valid_metrics=dict(metrics),
-                            seconds=now - train_start,
+        with span("train.fit", model=type(self.model).__name__,
+                  epochs=config.epochs, batch_size=config.batch_size):
+            for epoch in range(config.epochs):
+                with span("train.epoch", epoch=epoch) as epoch_span:
+                    self._dispatch("on_epoch_start", epoch)
+                    train_start = time.perf_counter()
+                    schedule.step()
+                    self.model.train()
+                    with span("train.train_pass", epoch=epoch):
+                        losses = self._train_epoch(epoch, loader, optimizer,
+                                                   want_breakdown)
+                    eval_start = time.perf_counter()
+                    self.model.eval()
+                    with span("train.eval_pass", epoch=epoch):
+                        metrics = evaluate_ranking(
+                            self.model, self.split.valid, self.valid_candidates,
+                            self.dataset.schema,
+                            precollated=self._validation_batches())
+                    now = time.perf_counter()
+                    train_seconds = eval_start - train_start
+                    eval_seconds = now - eval_start
+                    record = EpochRecord(
+                        epoch=epoch,
+                        train_loss=float(np.mean(losses)) if losses else float("nan"),
+                        valid_metrics=dict(metrics),
+                        seconds=now - train_start,
+                        learning_rate=optimizer.lr,
+                        train_seconds=train_seconds,
+                        eval_seconds=eval_seconds,
+                    )
+                    history.append(record)
+                    self._dispatch("on_epoch_end", record)
+                    epoch_span.set(train_loss=record.train_loss,
+                                   monitored=metrics.get(config.monitor, 0.0))
+                    telemetry = get_telemetry()
+                    if telemetry is not None:
+                        telemetry.emit(
+                            "epoch", epoch=epoch, train_loss=record.train_loss,
+                            train_seconds=train_seconds, eval_seconds=eval_seconds,
                             learning_rate=optimizer.lr,
-                            train_seconds=train_seconds,
-                            eval_seconds=eval_seconds,
-                        )
-                        history.append(record)
-                        self._dispatch("on_epoch_end", record)
-                        epoch_span.set(train_loss=record.train_loss,
-                                       monitored=metrics.get(config.monitor, 0.0))
-                        telemetry = get_telemetry()
-                        if telemetry is not None:
-                            telemetry.emit(
-                                "epoch", epoch=epoch, train_loss=record.train_loss,
-                                train_seconds=train_seconds, eval_seconds=eval_seconds,
-                                learning_rate=optimizer.lr,
-                                monitored=metrics.get(config.monitor, 0.0),
-                                metrics=dict(metrics))
-                        if verbose:
-                            logger.info(
-                                "[epoch %02d] loss=%.4f %s (train %.1fs, eval %.1fs)",
-                                epoch, record.train_loss, metrics,
-                                train_seconds, eval_seconds)
-                        monitored = metrics.get(config.monitor, 0.0)
-                        if monitored > history.best_metric:
-                            history.best_metric = monitored
-                            history.best_epoch = epoch
-                            best_state = self.model.state_dict()
-                            if config.checkpoint_path is not None:
-                                from repro.nn.serialization import save_checkpoint
-                                save_checkpoint(self.model, config.checkpoint_path,
-                                                extra={"epoch": epoch, config.monitor: monitored})
-                            epochs_since_best = 0
-                        else:
-                            epochs_since_best += 1
-                            if epochs_since_best >= config.patience:
-                                history.stopped_early = True
-                                break
-        finally:
-            if loader is not None:
-                loader.close()
-            if engine is not None:
-                engine.close()
-            self.ddp_engine = None
-            if eval_pool is not None:
-                eval_pool.close()
+                            monitored=metrics.get(config.monitor, 0.0),
+                            metrics=dict(metrics))
+                    if verbose:
+                        logger.info(
+                            "[epoch %02d] loss=%.4f %s (train %.1fs, eval %.1fs)",
+                            epoch, record.train_loss, metrics,
+                            train_seconds, eval_seconds)
+                    monitored = metrics.get(config.monitor, 0.0)
+                    if monitored > history.best_metric:
+                        history.best_metric = monitored
+                        history.best_epoch = epoch
+                        best_state = self.model.state_dict()
+                        if config.checkpoint_path is not None:
+                            from repro.nn.serialization import save_checkpoint
+                            save_checkpoint(self.model, config.checkpoint_path,
+                                            extra={"epoch": epoch, config.monitor: monitored})
+                        epochs_since_best = 0
+                    else:
+                        epochs_since_best += 1
+                        if epochs_since_best >= config.patience:
+                            history.stopped_early = True
+                            break
         if best_state is not None:
             self.model.load_state_dict(best_state)
         self.model.eval()

@@ -1,16 +1,11 @@
-"""Tests for the parallel input pipeline: packed collate, prefetch loader,
-worker pool robustness, and sharded helpers."""
-
-import multiprocessing as mp
-import time
+"""Tests for the input pipeline: packed collate, seeding and the loader."""
 
 import numpy as np
 import pytest
 
 from repro.data import collate
-from repro.data.pipeline import (PackedExamples, PrefetchLoader, WorkerError,
-                                 WorkerPool, batch_rng, epoch_order,
-                                 parallel_map)
+from repro.data.pipeline import (PackedExamples, PrefetchLoader, batch_rng,
+                                 epoch_order)
 
 
 def _assert_batches_equal(a, b):
@@ -68,20 +63,17 @@ class TestSeeding:
 
 
 class TestPrefetchLoaderDeterminism:
-    def _stream(self, split, dataset, num_workers, seed=11, epochs=1):
+    def _stream(self, split, dataset, seed=11, epochs=1):
         loader = PrefetchLoader(split.train, dataset.schema, batch_size=16,
-                                seed=seed, num_workers=num_workers,
-                                negatives=4, dataset=dataset)
-        try:
-            return [batch for _ in range(epochs) for batch in loader]
-        finally:
-            loader.close()
+                                seed=seed, negatives=4, dataset=dataset)
+        return [batch for _ in range(epochs) for batch in loader]
 
-    def test_bitwise_identical_across_worker_counts(self, tiny_dataset, tiny_split):
-        serial = self._stream(tiny_split, tiny_dataset, num_workers=0, epochs=2)
-        parallel = self._stream(tiny_split, tiny_dataset, num_workers=2, epochs=2)
-        assert len(serial) == len(parallel) > 0
-        for a, b in zip(serial, parallel):
+    def test_same_seed_streams_are_bitwise_identical(self, tiny_dataset,
+                                                     tiny_split):
+        first = self._stream(tiny_split, tiny_dataset, epochs=2)
+        second = self._stream(tiny_split, tiny_dataset, epochs=2)
+        assert len(first) == len(second) > 0
+        for a, b in zip(first, second):
             _assert_batches_equal(a, b)
 
     def test_epochs_reshuffle_but_replay_with_set_epoch(self, tiny_dataset, tiny_split):
@@ -104,7 +96,7 @@ class TestPrefetchLoaderDeterminism:
         assert len(tail) == n // 16 == len(list(tail))
 
     def test_candidates_are_valid_negatives(self, tiny_dataset, tiny_split):
-        for batch in self._stream(tiny_split, tiny_dataset, num_workers=0):
+        for batch in self._stream(tiny_split, tiny_dataset):
             assert batch.candidates.shape == (batch.size, 5)
             assert (batch.candidates[:, 0] == batch.targets).all()
             negatives = batch.candidates[:, 1:]
@@ -118,167 +110,4 @@ class TestPrefetchLoaderDeterminism:
             PrefetchLoader(tiny_split.train, tiny_dataset.schema, batch_size=0)
         with pytest.raises(ValueError):
             PrefetchLoader(tiny_split.train, tiny_dataset.schema, batch_size=8,
-                           num_workers=-1)
-        with pytest.raises(ValueError):
-            PrefetchLoader(tiny_split.train, tiny_dataset.schema, batch_size=8,
-                           prefetch=0)
-        with pytest.raises(ValueError):
-            PrefetchLoader(tiny_split.train, tiny_dataset.schema, batch_size=8,
                            negatives=4)  # no dataset
-
-    def test_abandoned_epoch_leaves_pool_reusable(self, tiny_dataset, tiny_split):
-        loader = PrefetchLoader(tiny_split.train, tiny_dataset.schema,
-                                batch_size=16, seed=4, num_workers=2)
-        try:
-            for _ in loader:
-                break  # abandon mid-epoch
-            loader.set_epoch(0)
-            full = list(loader)
-            assert len(full) == len(loader)
-        finally:
-            loader.close()
-
-
-# ----------------------------------------------------------------------
-# Worker pool robustness (factories must be module-level picklable-by-ref)
-# ----------------------------------------------------------------------
-
-def _double_factory(offset):
-    def fn(x):
-        return 2 * x + offset
-    return fn
-
-
-def _crashy_factory():
-    def fn(x):
-        if x == 3:
-            raise KeyError("poisoned payload 3")
-        return x
-    return fn
-
-
-def _sleepy_factory():
-    def fn(x):
-        time.sleep(60.0)
-        return x
-    return fn
-
-
-def _suicidal_factory():
-    def fn(x):
-        import os
-        os._exit(17)  # die without reporting anything
-    return fn
-
-
-def _array_increment_factory():
-    def fn(payload):
-        # Round-trips dict-of-ndarray payloads (the serving replica shape).
-        return {"values": payload["values"] + 1, "tag": payload["tag"]}
-    return fn
-
-
-class TestWorkerPool:
-    def test_parallel_map_is_order_stable(self):
-        out = parallel_map(_double_factory, (7,), list(range(23)), num_workers=3)
-        assert out == [2 * x + 7 for x in range(23)]
-
-    def test_empty_payloads(self):
-        assert parallel_map(_double_factory, (0,), [], num_workers=2) == []
-
-    def test_worker_exception_reraises_with_traceback_and_reaps(self):
-        before = {p.pid for p in mp.active_children()}
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_crashy_factory, (), list(range(8)), num_workers=2)
-        message = str(excinfo.value)
-        assert "KeyError" in message and "poisoned payload 3" in message
-        assert excinfo.value.remote_traceback is not None
-        # No orphaned children beyond whatever existed before.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            leftover = {p.pid for p in mp.active_children()} - before
-            if not leftover:
-                break
-            time.sleep(0.05)
-        assert not leftover
-
-    def test_silently_dead_worker_detected(self):
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_suicidal_factory, (), [0], num_workers=1, timeout=30.0)
-        assert "died" in str(excinfo.value)
-
-    def test_heartbeat_timeout(self):
-        pool = WorkerPool(_sleepy_factory, (), num_workers=1, timeout=0.5,
-                          poll_interval=0.05)
-        pool.submit(0, 0)
-        with pytest.raises(WorkerError) as excinfo:
-            pool.next_result()
-        assert "no result within" in str(excinfo.value)
-        assert pool.closed
-
-    def test_close_is_idempotent_and_rejects_submits(self):
-        pool = WorkerPool(_double_factory, (0,), num_workers=1)
-        pool.close()
-        pool.close()
-        with pytest.raises(RuntimeError):
-            pool.submit(0, 1)
-
-    def test_workers_alive_tracks_liveness(self):
-        pool = WorkerPool(_double_factory, (0,), num_workers=2)
-        try:
-            assert pool.workers_alive() == [True, True]
-        finally:
-            pool.close()
-        deadline = time.monotonic() + 10.0
-        while any(pool.workers_alive()) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert pool.workers_alive() == [False, False]
-
-    def test_request_transport_round_trips_via_shm(self):
-        from repro.data.shm import ShmArena
-
-        arena = ShmArena(slot_bytes=1 << 16, num_slots=4)
-        pool = WorkerPool(_array_increment_factory, (), num_workers=1,
-                          transport=arena, transport_copy=True,
-                          transport_requests=True, transport_min_bytes=64)
-        try:
-            rng = np.random.default_rng(5)
-            payloads = {
-                task_id: {"values": rng.normal(
-                    size=512).astype(np.float32), "tag": task_id}
-                for task_id in range(6)
-            }
-            for task_id, payload in payloads.items():
-                pool.submit(task_id, payload)
-            seen = {}
-            for _ in payloads:
-                _, task_id, value = pool.next_result()
-                seen[task_id] = value
-            assert set(seen) == set(payloads)
-            for task_id, value in seen.items():
-                assert value["tag"] == task_id
-                np.testing.assert_array_equal(
-                    value["values"], payloads[task_id]["values"] + 1)
-            assert pool.shm_results > 0  # arrays actually rode the arena
-        finally:
-            pool.close()
-            arena.close()
-
-    def test_loader_worker_crash_surfaces_traceback(self, tiny_dataset, tiny_split):
-        loader = PrefetchLoader(tiny_split.train, tiny_dataset.schema,
-                                batch_size=16, seed=1, num_workers=2,
-                                negatives=2, dataset=tiny_dataset)
-        # Sabotage the packed merged timeline so worker-side collate raises.
-        data, indptr = loader.packed.merged_items
-        loader.packed.merged_items = (data, indptr[:2])
-        before = {p.pid for p in mp.active_children()}
-        with pytest.raises(WorkerError):
-            list(loader)
-        loader.close()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            leftover = {p.pid for p in mp.active_children()} - before
-            if not leftover:
-                break
-            time.sleep(0.05)
-        assert not leftover

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import SequentialRecommender
-from repro.eval import (CandidateSets, EvalShardPool, MetricReport,
-                        evaluate_ranking, precollate, rank_all)
+from repro.eval import CandidateSets, evaluate_ranking, precollate, rank_all
 from repro.nn.tensor import Tensor
 
 
@@ -117,89 +116,3 @@ class TestEvaluator:
         sets = CandidateSets(tiny_dataset, tiny_split.test[:2], 10, seed=0)
         with pytest.raises(ValueError):
             precollate(tiny_split.test, sets, tiny_dataset.schema)
-
-
-class TestShardedEvaluation:
-    """Sharded (num_workers > 0) paths must reproduce serial results exactly."""
-
-    def test_sharded_precollate_matches_serial(self, tiny_dataset, tiny_split):
-        sets = CandidateSets(tiny_dataset, tiny_split.test, 10, seed=0)
-        serial = precollate(tiny_split.test, sets, tiny_dataset.schema,
-                            batch_size=7)
-        sharded = precollate(tiny_split.test, sets, tiny_dataset.schema,
-                             batch_size=7, num_workers=2)
-        assert len(serial) == len(sharded)
-        for (a, ca), (b, cb) in zip(serial, sharded):
-            assert (a.users == b.users).all()
-            assert (a.merged_items == b.merged_items).all()
-            assert np.array_equal(ca, cb)
-
-    def test_sharded_rank_all_matches_serial(self, tiny_dataset, tiny_split):
-        targets = {e.user: e.target for e in tiny_split.test}
-        model = OracleModel(targets)
-        sets = CandidateSets(tiny_dataset, tiny_split.test, 10, seed=0)
-        serial = rank_all(model, tiny_split.test, sets, tiny_dataset.schema,
-                          batch_size=7)
-        sharded = rank_all(model, tiny_split.test, sets, tiny_dataset.schema,
-                           batch_size=7, num_workers=2)
-        assert np.array_equal(serial, sharded)
-
-    def test_sharded_rank_all_with_real_model(self, tiny_dataset, tiny_split,
-                                              tiny_graph):
-        from repro.core import MISSL, MISSLConfig
-        config = MISSLConfig(dim=16, num_interests=3, max_len=20,
-                             num_train_negatives=10)
-        model = MISSL(tiny_dataset.num_items, tiny_dataset.schema, tiny_graph,
-                      config, seed=0)
-        model.eval()
-        sets = CandidateSets(tiny_dataset, tiny_split.test, 10, seed=0)
-        serial = evaluate_ranking(model, tiny_split.test, sets,
-                                  tiny_dataset.schema, batch_size=7)
-        sharded = evaluate_ranking(model, tiny_split.test, sets,
-                                   tiny_dataset.schema, batch_size=7,
-                                   num_workers=2)
-        assert dict(serial) == dict(sharded)
-        assert not model.training
-
-
-class TestEvalShardPool:
-    """The persistent pool must track live parent weights across passes."""
-
-    def _model_and_batches(self, tiny_dataset, tiny_split, tiny_graph):
-        from repro.core import MISSL, MISSLConfig
-        config = MISSLConfig(dim=16, num_interests=3, max_len=20,
-                             num_train_negatives=10)
-        model = MISSL(tiny_dataset.num_items, tiny_dataset.schema, tiny_graph,
-                      config, seed=0)
-        sets = CandidateSets(tiny_dataset, tiny_split.valid, 10, seed=0)
-        batches = precollate(tiny_split.valid, sets, tiny_dataset.schema,
-                             batch_size=7)
-        return model, sets, batches
-
-    def test_matches_serial_across_parameter_updates(self, tiny_dataset,
-                                                     tiny_split, tiny_graph):
-        model, sets, batches = self._model_and_batches(tiny_dataset, tiny_split,
-                                                       tiny_graph)
-        with EvalShardPool(model, batches, num_workers=2) as pool:
-            serial = rank_all(model, tiny_split.valid, sets,
-                              tiny_dataset.schema, precollated=batches)
-            assert np.array_equal(pool.rank_all(), serial)
-            # Perturb the parent's weights the way an optimizer step would;
-            # the next pass must rank with the *new* weights.
-            for param in model.parameters():
-                param.data += 0.05
-            serial = rank_all(model, tiny_split.valid, sets,
-                              tiny_dataset.schema, precollated=batches)
-            assert np.array_equal(pool.rank_all(), serial)
-            report = pool.evaluate(ks=(5, 10))
-            assert dict(report) == dict(MetricReport.from_ranks(serial,
-                                                                ks=(5, 10)))
-        assert pool.closed
-
-    def test_rejects_bad_arguments(self, tiny_dataset, tiny_split, tiny_graph):
-        model, _, batches = self._model_and_batches(tiny_dataset, tiny_split,
-                                                    tiny_graph)
-        with pytest.raises(ValueError):
-            EvalShardPool(model, batches, num_workers=0)
-        with pytest.raises(ValueError):
-            EvalShardPool(model, [], num_workers=2)

@@ -11,84 +11,6 @@ def run_project_rule(rule_id, root):
     return lint_paths([root], rules=[get_rule(rule_id)])
 
 
-class TestLeaseBalance:
-    def test_early_return_leak_fires(self, write_module, tmp_path):
-        write_module("repro.train.bad", """\
-            from repro.data.shm import ShmArena
-
-            def leaky(flag):
-                arena = ShmArena(1024, 2)
-                if flag:
-                    return None
-                arena.close()
-        """)
-        result = run_project_rule("LEASE-BALANCE", tmp_path)
-        assert len(result.findings) == 1
-        assert "ShmArena" in result.findings[0].message
-        assert "'arena'" in result.findings[0].message
-
-    def test_try_finally_is_clean(self, write_module, tmp_path):
-        write_module("repro.train.good", """\
-            from repro.data.shm import ShmArena
-
-            def balanced():
-                arena = ShmArena(1024, 2)
-                try:
-                    work(arena)
-                finally:
-                    arena.close()
-        """)
-        assert run_project_rule("LEASE-BALANCE", tmp_path).ok
-
-    def test_with_block_is_clean(self, write_module, tmp_path):
-        write_module("repro.eval.good", """\
-            from repro.data.shm import ShmArena
-
-            def balanced():
-                with ShmArena(1024, 2) as arena:
-                    work(arena)
-        """)
-        assert run_project_rule("LEASE-BALANCE", tmp_path).ok
-
-    def test_ownership_transfer_is_clean(self, write_module, tmp_path):
-        write_module("repro.serve.good", """\
-            from repro.data.shm import ShmArena
-
-            class Owner:
-                def __init__(self):
-                    self.arena = ShmArena(1024, 2)
-
-                def close(self):
-                    self.arena.close()
-
-            def factory():
-                return ShmArena(1024, 2)
-        """)
-        assert run_project_rule("LEASE-BALANCE", tmp_path).ok
-
-    def test_anonymous_acquisition_fires(self, write_module, tmp_path):
-        write_module("repro.train.bad", """\
-            from repro.data.shm import ShmArena
-
-            def anon():
-                use(ShmArena(1024, 2))
-        """)
-        result = run_project_rule("LEASE-BALANCE", tmp_path)
-        assert len(result.findings) == 1
-
-    def test_noqa_suppresses(self, write_module, tmp_path):
-        write_module("repro.train.bad", """\
-            from repro.data.shm import ShmArena
-
-            def leaky():
-                arena = ShmArena(1024, 2)  # repro: noqa[LEASE-BALANCE]
-                use(arena)
-        """)
-        result = run_project_rule("LEASE-BALANCE", tmp_path)
-        assert result.ok
-        assert result.suppressed_count == 1
-
-
 class TestLockDiscipline:
     def test_sleep_under_lock_fires(self, write_module, tmp_path):
         write_module("repro.serve.bad", """\
@@ -238,62 +160,6 @@ class TestLockOrder:
         assert run_project_rule("LOCK-ORDER", tmp_path).ok
 
 
-class TestForkSafety:
-    def test_pool_outside_sanctioned_module_fires(self, write_module,
-                                                  tmp_path):
-        write_module("repro.analysis.bad", """\
-            from repro.data.pipeline import WorkerPool
-
-            def build():
-                pool = WorkerPool(lambda: None, num_workers=2)
-                return pool
-        """)
-        result = run_project_rule("FORK-SAFETY", tmp_path)
-        assert len(result.findings) == 1
-        assert "confined" in result.findings[0].message
-
-    def test_thread_start_before_fork_fires(self, write_module, tmp_path):
-        write_module("repro.train.ddp", """\
-            import threading
-
-            from repro.data.pipeline import WorkerPool
-
-            def build():
-                t = threading.Thread(target=print)
-                t.start()
-                pool = WorkerPool(lambda: None, num_workers=2)
-                return pool
-        """)
-        result = run_project_rule("FORK-SAFETY", tmp_path)
-        assert len(result.findings) == 1
-        assert "thread" in result.findings[0].message
-
-    def test_fork_then_thread_is_clean(self, write_module, tmp_path):
-        write_module("repro.train.ddp", """\
-            import threading
-
-            from repro.data.pipeline import WorkerPool
-
-            def build():
-                pool = WorkerPool(lambda: None, num_workers=2)
-                t = threading.Thread(target=print)
-                t.start()
-                return pool
-        """)
-        assert run_project_rule("FORK-SAFETY", tmp_path).ok
-
-    def test_import_time_thread_start_fires(self, write_module, tmp_path):
-        write_module("repro.train.bad", """\
-            import threading
-
-            _warmup_thread = threading.Thread(target=print)
-            _warmup_thread.start()
-        """)
-        result = run_project_rule("FORK-SAFETY", tmp_path)
-        assert len(result.findings) == 1
-        assert "import time" in result.findings[0].message
-
-
 class TestAsyncBlocking:
     def test_transitive_blocking_call_fires(self, write_module, tmp_path):
         write_module("repro.serve.badnet", """\
@@ -347,39 +213,3 @@ class TestAsyncBlocking:
         result = run_project_rule("ASYNC-BLOCKING", tmp_path)
         assert len(result.findings) == 1
         assert "time.sleep" in result.findings[0].message
-
-
-class TestParallelParity:
-    def test_jobs_output_matches_serial(self, write_module, tmp_path):
-        write_module("repro.train.bad", """\
-            import numpy as np
-            from repro.data.shm import ShmArena
-
-            def leaky(flag):
-                arena = ShmArena(1024, 2)
-                if flag:
-                    return None
-                arena.close()
-
-            x = np.random.rand(3)
-        """)
-        write_module("repro.serve.bad", """\
-            import threading
-            import time
-
-            class S:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def slow(self):
-                    with self._lock:
-                        time.sleep(0.5)
-        """)
-        serial = lint_paths([tmp_path], jobs=1)
-        parallel = lint_paths([tmp_path], jobs=4)
-        as_tuples = lambda result: [  # noqa: E731
-            (f.rule, f.path, f.line, f.col, f.message)
-            for f in result.findings]
-        assert as_tuples(serial) == as_tuples(parallel)
-        assert len(serial.findings) >= 3
-        assert serial.errors == parallel.errors

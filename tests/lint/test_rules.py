@@ -151,42 +151,6 @@ class TestScatterContainment:
         assert result.suppressed_count == 1
 
 
-class TestShmDiscipline:
-    def test_shared_memory_call_fires_outside_home(self, write_module):
-        path = write_module("repro.train.bad", """\
-            from multiprocessing import shared_memory
-            segment = shared_memory.SharedMemory(name="x", create=True, size=64)
-            other = SharedMemory(name="y")
-        """)
-        result = run_rule("SHM-DISCIPLINE", path)
-        assert len(result.findings) == 2
-        assert "outside repro.data.shm" in result.findings[0].message
-
-    def test_home_module_is_exempt(self, write_module):
-        path = write_module("repro.data.shm", """\
-            from multiprocessing import shared_memory
-            segment = shared_memory.SharedMemory(name="x", create=True, size=64)
-        """)
-        assert run_rule("SHM-DISCIPLINE", path).ok
-
-    def test_unrelated_names_are_clean(self, write_module):
-        path = write_module("repro.train.good", """\
-            from repro.data.shm import ShmArena
-            arena = ShmArena(slot_bytes=4096, num_slots=2)
-            block = arena.write([payload])
-        """)
-        assert run_rule("SHM-DISCIPLINE", path).ok
-
-    def test_noqa_suppresses(self, write_module):
-        path = write_module("repro.train.bad", """\
-            from multiprocessing.shared_memory import SharedMemory
-            segment = SharedMemory(name="x")  # repro: noqa[SHM-DISCIPLINE]
-        """)
-        result = run_rule("SHM-DISCIPLINE", path)
-        assert result.ok
-        assert result.suppressed_count == 1
-
-
 class TestNoBarePrint:
     def test_print_in_library_code_fires(self, write_module):
         path = write_module("repro.train.bad", """\
@@ -403,13 +367,11 @@ class TestRegistry:
     EXPECTED = ("DTYPE-DISCIPLINE", "SCATTER-CONTAINMENT", "NO-BARE-PRINT",
                 "SEEDED-RANDOMNESS", "TELEMETRY-GUARD",
                 "BLOCKING-IO-CONTAINMENT", "SPAN-NAME-DISCIPLINE",
-                "LEASE-BALANCE", "LOCK-DISCIPLINE", "LOCK-ORDER",
-                "FORK-SAFETY", "ASYNC-BLOCKING")
+                "LOCK-DISCIPLINE", "LOCK-ORDER", "ASYNC-BLOCKING")
 
     def test_flow_rules_are_project_scoped(self):
         from repro.lint import get_rule, is_project_rule
-        for rule_id in ("LEASE-BALANCE", "LOCK-DISCIPLINE", "LOCK-ORDER",
-                        "FORK-SAFETY", "ASYNC-BLOCKING"):
+        for rule_id in ("LOCK-DISCIPLINE", "LOCK-ORDER", "ASYNC-BLOCKING"):
             assert is_project_rule(get_rule(rule_id))
 
     def test_catalog_is_registered(self):

@@ -1,4 +1,5 @@
-"""Fleet merge: exact counter sums, bucket-wise histogram merges, census."""
+"""Snapshot merge: exact counter sums, bucket-wise histogram merges, and
+the one-file event collection."""
 
 import json
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.obs import collect_fleet, merge_snapshots
-from repro.obs.events import spool_dir_for
 from repro.obs.fleet import merge_registry_snapshot
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -86,41 +86,8 @@ class TestCollectFleet:
                 else:
                     handle.write(json.dumps(event) + "\n")
 
-    def metrics_event(self, registry, proc=None):
-        event = {"type": "metrics", "ts": 0.0, "registry": registry.snapshot()}
-        if proc is not None:
-            event["proc"] = proc
-        return event
-
-    def test_merges_main_file_and_spools(self, tmp_path):
-        main = tmp_path / "run.jsonl"
-        main_registry = registry_with(counters=[("steps", 2)],
-                                      samples=[("lat", [0.1, 0.2])])
-        self.write_events(main, [
-            {"type": "span", "ts": 0.0, "name": "net.request", "span_id": 1,
-             "parent_id": None, "trace_id": 1, "start": 0.0, "seconds": 0.1},
-            self.metrics_event(main_registry),
-        ])
-        spool_dir = spool_dir_for(main)
-        worker = registry_with(counters=[("steps", 3)],
-                               samples=[("lat", [0.4])])
-        proc = {"role": "replica0", "worker": 0, "pid": 999, "generation": 1}
-        self.write_events(spool_dir / "replica0-0-g1-999.jsonl", [
-            {"type": "span", "ts": 0.0, "name": "worker.task", "span_id": 2,
-             "parent_id": 1, "trace_id": 1, "start": 0.0, "seconds": 0.05,
-             "proc": proc},
-            self.metrics_event(worker, proc=proc),
-        ])
-
-        view = collect_fleet(main)
-        assert view.registry.counter("steps").value == 5
-        assert view.registry.get("lat").count == 3
-        assert len(view.spans) == 2
-        assert view.malformed_lines == 0
-        roles = [(p["role"], p["worker"]) for p in view.processes]
-        assert roles == [("main", None), ("replica0", 0)]
-        assert view.registry.counter("fleet.processes").value == 2
-        assert view.registry.counter("fleet.spans").value == 2
+    def metrics_event(self, registry):
+        return {"type": "metrics", "ts": 0.0, "registry": registry.snapshot()}
 
     def test_only_last_metrics_event_per_file_merges(self, tmp_path):
         main = tmp_path / "run.jsonl"
@@ -144,4 +111,3 @@ class TestCollectFleet:
         assert len(view.spans) == 1
         assert view.malformed_lines == 2
         assert view.registry.counter("fleet.malformed_lines").value == 2
-        assert view.processes[0]["malformed_lines"] == 2

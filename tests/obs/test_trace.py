@@ -3,9 +3,9 @@
 import threading
 import time
 
-from repro.obs import (current_context, current_span, enable_telemetry,
-                       get_telemetry, remote_context, span, telemetry_session)
-from repro.obs.trace import _NOOP_SPAN, TraceContext, reset_trace_state
+from repro.obs import (current_span, enable_telemetry, get_telemetry, span,
+                       telemetry_session)
+from repro.obs.trace import _NOOP_SPAN
 
 
 def span_events(telemetry):
@@ -24,8 +24,24 @@ class TestDisabled:
             assert s.set(k=1) is s
         assert current_span() is None
 
+    def test_noop_span_drops_attribute_assignment(self):
+        assert get_telemetry() is None
+        with span("x") as s:
+            s.request_id = "req-1"  # must not raise on the shared no-op
+        assert not hasattr(_NOOP_SPAN, "request_id")
+
 
 class TestEnabled:
+    def test_children_inherit_trace_and_request_id(self):
+        telemetry = enable_telemetry()
+        with span("net.request") as root:
+            root.request_id = "req-2"
+            with span("serve.request") as child:
+                assert child.parent_id == root.span_id
+                assert child.trace_id == root.trace_id
+        child_event, root_event = span_events(telemetry)
+        assert root_event["request_id"] == child_event["request_id"] == "req-2"
+
     def test_span_emits_event_with_timing(self):
         telemetry = enable_telemetry()
         with span("work"):
@@ -105,90 +121,3 @@ class TestSession:
                 pass
         assert get_telemetry() is None
         assert [e["name"] for e in span_events(telemetry)] == ["inside"]
-
-
-class TestTraceContext:
-    def test_pack_unpack_round_trip(self):
-        ctx = TraceContext(trace_id=7, span_id=11, request_id="req-1")
-        assert ctx.pack() == (7, 11, "req-1")
-        assert TraceContext.unpack(ctx.pack()) == ctx
-
-    def test_unpack_tolerates_json_list_form(self):
-        ctx = TraceContext.unpack([3, 5, None])
-        assert ctx == TraceContext(trace_id=3, span_id=5, request_id=None)
-
-    def test_current_context_none_when_disabled_or_idle(self):
-        assert get_telemetry() is None
-        assert current_context() is None
-        enable_telemetry()
-        assert current_context() is None  # no span open
-
-    def test_current_context_captures_innermost_span(self):
-        enable_telemetry()
-        with span("outer"):
-            with span("inner") as inner:
-                ctx = current_context()
-        assert ctx == TraceContext(inner.trace_id, inner.span_id, None)
-
-    def test_current_context_request_id_override(self):
-        enable_telemetry()
-        with span("serve") as s:
-            ctx = current_context(request_id="req-9")
-        assert ctx == TraceContext(s.trace_id, s.span_id, "req-9")
-
-    def test_noop_span_drops_attribute_assignment(self):
-        assert get_telemetry() is None
-        with span("x") as s:
-            s.request_id = "req-1"  # must not raise on the shared no-op
-        assert not hasattr(_NOOP_SPAN, "request_id")
-
-
-class TestRemoteContext:
-    def test_root_span_parents_on_remote_context(self):
-        telemetry = enable_telemetry()
-        remote = TraceContext(trace_id=100, span_id=200, request_id="req-2")
-        with remote_context(remote):
-            with span("worker.task") as root:
-                assert root.parent_id == 200
-                assert root.trace_id == 100
-                assert root.request_id == "req-2"
-                with span("child") as child:
-                    assert child.trace_id == 100
-                    assert child.parent_id == root.span_id
-        (child_event, root_event) = span_events(telemetry)
-        assert root_event["parent_id"] == 200
-        assert root_event["request_id"] == "req-2"
-        assert child_event["request_id"] == "req-2"
-
-    def test_accepts_packed_tuple_and_restores_on_exit(self):
-        enable_telemetry()
-        with remote_context((1, 2, None)):
-            with span("inner") as s:
-                assert s.parent_id == 2
-        with span("after") as s:
-            assert s.parent_id is None  # remote cleared on exit
-
-    def test_none_context_is_noop(self):
-        enable_telemetry()
-        with remote_context(None):
-            with span("root") as s:
-                assert s.parent_id is None
-
-    def test_remote_context_forwarded_by_current_context(self):
-        enable_telemetry()
-        with remote_context(TraceContext(1, 2, "req-3")):
-            # no span open: a relay hop forwards its inherited position
-            assert current_context() == TraceContext(1, 2, "req-3")
-            assert current_context(request_id="req-4") == \
-                TraceContext(1, 2, "req-4")
-
-    def test_reset_trace_state_clears_stack_and_remote(self):
-        enable_telemetry()
-        stale = span("open").__enter__()
-        with remote_context(TraceContext(1, 2, None)):
-            reset_trace_state()
-            assert current_span() is None
-            assert current_context() is None
-        # exiting the pre-reset span against the fresh stack is harmless
-        stale.__exit__(None, None, None)
-        assert current_span() is None

@@ -1,5 +1,6 @@
 """Shared serving fixtures: a trained-shape model, its exported artifact,
-and a history store seeded from the tiny corpus."""
+a history store seeded from the tiny corpus, and a CLI-exported preset
+artifact that ``repro serve`` can rebuild its corpus for."""
 
 import pytest
 
@@ -29,3 +30,14 @@ def artifact(artifact_path):
 @pytest.fixture
 def history(tiny_dataset):
     return HistoryStore.from_dataset(tiny_dataset)
+
+
+@pytest.fixture(scope="session")
+def exported(tmp_path_factory):
+    """``repro export`` output on the taobao preset (scale 0.1, seed 3)."""
+    from repro.cli import main
+    path = tmp_path_factory.mktemp("cli") / "artifact.npz"
+    assert main(["export", str(path), "--preset", "taobao",
+                 "--scale", "0.1", "--dim", "16", "--epochs", "1",
+                 "--seed", "3"]) == 0
+    return path

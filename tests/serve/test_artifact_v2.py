@@ -1,14 +1,12 @@
-"""Artifact v2 (directory-bundle) tests: mmap loading, prebuilt indexes,
-format back-compat, and replica respawn from serialized structures."""
+"""Artifact v2 (directory-bundle) tests: mmap loading, prebuilt indexes
+and format back-compat."""
 
 import json
-import time
 
 import numpy as np
 import pytest
 
-from repro.serve import (HistoryStore, NetClient, NetServer,
-                         RecommenderService, ReplicaSet, export_artifact,
+from repro.serve import (HistoryStore, RecommenderService, export_artifact,
                          load_artifact, write_artifact)
 from repro.serve.artifact import ARTIFACT_DIR_FORMAT_VERSION
 
@@ -176,38 +174,3 @@ class TestPrebuiltAttach:
                                   index_backend=backend, use_prebuilt=False,
                                   index_options=INDEX_OPTIONS.get(backend, {}))
         assert attached == rebuilt
-
-
-class TestReplicaRespawnFromBundle:
-    def test_killed_replica_reattaches_serialized_index(self, bundle,
-                                                        tiny_dataset):
-        backend = ReplicaSet(
-            bundle, HistoryStore.from_dataset(tiny_dataset), replicas=2,
-            pool_timeout=60.0,
-            service_options={"index_backend": "hnsw",
-                             "index_options": {"ef_search": 32}})
-        server = NetServer(backend, max_inflight=16)
-        host, port = server.start_background()
-        users = tiny_dataset.users[:6]
-        try:
-            with NetClient(host, port) as client:
-                before = {u: client.recommend(u, k=5) for u in users}
-                assert all(r["ok"] for r in before.values())
-            backend.kill_replica(0)
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                if (backend.replicas[0].generation >= 1
-                        and all(r.alive for r in backend.replicas)):
-                    break
-                time.sleep(0.1)
-            assert all(r.alive for r in backend.replicas)
-            assert backend.replicas[0].generation >= 1
-            with NetClient(host, port) as client:
-                for user in users:
-                    after = client.recommend(user, k=5)
-                    assert after["ok"]
-                    assert after["items"] == before[user]["items"]
-                    assert after["scores"] == before[user]["scores"]
-        finally:
-            server.stop()
-            backend.close()

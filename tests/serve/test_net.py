@@ -1,8 +1,8 @@
-"""Network serving tests: socket parity, shedding, drain, replica failover.
+"""Network serving tests: socket parity, strict parsing, shedding, drain.
 
 The acceptance bar for the network tier is *parity through a real socket*:
 answers served over TCP must equal ``RecommenderService.recommend`` for the
-same artifact and requests, at every index backend and replica count.
+same artifact and requests, at every index backend.
 """
 
 import json
@@ -11,9 +11,8 @@ import time
 
 import pytest
 
-from repro.serve import (HistoryStore, NetClient, NetServer,
-                         RecommenderService, ReplicaSet, build_backend,
-                         normalize_request, run_load)
+from repro.serve import (HistoryStore, LocalBackend, NetClient, NetServer,
+                         RecommenderService, normalize_request, run_load)
 
 
 def reference_answers(artifact, dataset, users, k, index_backend="exact"):
@@ -32,10 +31,16 @@ def parity_users(history):
     return history.users[:6]
 
 
+def local_backend(artifact, dataset, **options):
+    return LocalBackend(RecommenderService(
+        artifact, HistoryStore.from_dataset(dataset), **options))
+
+
 def start_server(backend, **kwargs):
     server = NetServer(backend, **kwargs)
     host, port = server.start_background()
     return server, host, port
+
 
 
 class TestNormalizeRequest:
@@ -56,12 +61,26 @@ class TestNormalizeRequest:
         with pytest.raises(KeyError):
             normalize_request({"op": "recommend"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("user", 2.9), ("user", float("inf")), ("user", True), ("user", "3"),
+        ("k", True), ("k", 2.0), ("k", None), ("item", 1.0),
+        ("timestamp", 1.5), ("timestamp", False)])
+    def test_non_integer_fields_rejected_not_coerced(self, field, value):
+        request = {"op": "append" if field in ("item", "timestamp")
+                   else "recommend",
+                   "user": 1, "item": 2, "behavior": "view", field: value}
+        with pytest.raises(ValueError, match=f"'{field}' must be a JSON integer"):
+            normalize_request(request)
+
+    def test_huge_integers_pass_through_unchanged(self):
+        op = normalize_request({"user": 10 ** 400, "k": 2 ** 70})
+        assert op == {"op": "recommend", "user": 10 ** 400, "k": 2 ** 70}
+
 
 class TestLocalBackendOverSocket:
     def test_parity_and_protocol(self, artifact, tiny_dataset, parity_users):
         expected = reference_answers(artifact, tiny_dataset, parity_users, k=5)
-        backend = build_backend(artifact,
-                                HistoryStore.from_dataset(tiny_dataset))
+        backend = local_backend(artifact, tiny_dataset)
         server, host, port = start_server(backend, max_inflight=8)
         try:
             with NetClient(host, port) as client:
@@ -81,8 +100,7 @@ class TestLocalBackendOverSocket:
 
     def test_malformed_requests_get_error_responses(self, artifact,
                                                     tiny_dataset):
-        backend = build_backend(artifact,
-                                HistoryStore.from_dataset(tiny_dataset))
+        backend = local_backend(artifact, tiny_dataset)
         server, host, port = start_server(backend)
         try:
             with NetClient(host, port) as client:
@@ -103,14 +121,61 @@ class TestLocalBackendOverSocket:
             backend.close()
 
     def test_quit_closes_the_connection(self, artifact, tiny_dataset):
-        backend = build_backend(artifact,
-                                HistoryStore.from_dataset(tiny_dataset))
+        backend = local_backend(artifact, tiny_dataset)
         server, host, port = start_server(backend)
         try:
             client = NetClient(host, port)
             with pytest.raises(ConnectionError):
                 client.request({"op": "quit"})
             client.close()
+        finally:
+            server.stop()
+            backend.close()
+
+
+    def test_append_then_recommend_over_socket(self, artifact, tiny_dataset):
+        backend = local_backend(artifact, tiny_dataset)
+        server, host, port = start_server(backend)
+        user = tiny_dataset.users[0]
+        behavior = tiny_dataset.schema.behaviors[0]
+        try:
+            with NetClient(host, port) as client:
+                first = client.append(user, 3, behavior)
+                assert first["ok"] and first["version"] == 1
+                second = client.append(user, 4, behavior)
+                assert second["ok"] and second["version"] == 2
+                response = client.recommend(user, k=5)
+                assert response["ok"]
+                assert 3 not in response["items"]  # seen items stay excluded
+        finally:
+            server.stop()
+            backend.close()
+
+
+class TestSocketParity:
+    @pytest.mark.parametrize("index_backend", ["exact", "ivf", "hnsw"])
+    def test_socket_answers_match_in_process(self, artifact, tiny_dataset,
+                                             parity_users, index_backend):
+        options = {"index_backend": index_backend}
+        if index_backend == "ivf":
+            options["index_options"] = {"nlist": 8, "nprobe": 4, "seed": 0}
+        elif index_backend == "hnsw":
+            options["index_options"] = {"M": 8, "ef_search": 32, "seed": 0}
+        service = RecommenderService(
+            artifact, HistoryStore.from_dataset(tiny_dataset), **options)
+        expected = {user: [(r.item, r.score)
+                           for r in service.recommend(user, k=5)]
+                    for user in parity_users}
+        service.close()
+        backend = local_backend(artifact, tiny_dataset, **options)
+        server, host, port = start_server(backend, max_inflight=16)
+        try:
+            with NetClient(host, port) as client:
+                for user in parity_users:
+                    response = client.recommend(user, k=5)
+                    assert response["ok"], response
+                    got = list(zip(response["items"], response["scores"]))
+                    assert got == expected[user], (index_backend, user)
         finally:
             server.stop()
             backend.close()
@@ -199,136 +264,9 @@ class TestFrontEndDiscipline:
             backend.close()
 
 
-class TestReplicaParity:
-    @pytest.mark.parametrize("index_backend", ["exact", "ivf", "hnsw"])
-    @pytest.mark.parametrize("replicas", [1, 2, 3])
-    def test_socket_answers_match_in_process(self, artifact, tiny_dataset,
-                                             parity_users, index_backend,
-                                             replicas):
-        options = {"index_backend": index_backend}
-        if index_backend == "ivf":
-            options["index_options"] = {"nlist": 8, "nprobe": 4, "seed": 0}
-        elif index_backend == "hnsw":
-            options["index_options"] = {"M": 8, "ef_search": 32, "seed": 0}
-        service = RecommenderService(
-            artifact, HistoryStore.from_dataset(tiny_dataset), **options)
-        expected = {user: [(r.item, r.score)
-                           for r in service.recommend(user, k=5)]
-                    for user in parity_users}
-        service.close()
-        backend = build_backend(artifact,
-                                HistoryStore.from_dataset(tiny_dataset),
-                                replicas=replicas, service_options=options,
-                                pool_timeout=60.0)
-        server, host, port = start_server(backend, max_inflight=16)
-        try:
-            with NetClient(host, port) as client:
-                for user in parity_users:
-                    response = client.recommend(user, k=5)
-                    assert response["ok"], response
-                    got = list(zip(response["items"], response["scores"]))
-                    assert got == expected[user], (index_backend, replicas, user)
-        finally:
-            server.stop()
-            backend.close()
-
-
-class TestReplicaOperations:
-    def test_append_routes_to_one_replica_and_serves(self, artifact,
-                                                     tiny_dataset):
-        backend = build_backend(artifact,
-                                HistoryStore.from_dataset(tiny_dataset),
-                                replicas=2, pool_timeout=60.0)
-        server, host, port = start_server(backend)
-        user = tiny_dataset.users[0]
-        behavior = tiny_dataset.schema.behaviors[0]
-        try:
-            with NetClient(host, port) as client:
-                first = client.append(user, 3, behavior)
-                assert first["ok"] and first["version"] == 1
-                second = client.append(user, 4, behavior)
-                assert second["ok"] and second["version"] == 2
-                response = client.recommend(user, k=5)
-                assert response["ok"]
-                assert 3 not in response["items"]  # seen items stay excluded
-                stats = client.stats()
-                assert len(stats["stats"]["replicas"]) == 2
-        finally:
-            server.stop()
-            backend.close()
-
-    def test_user_hash_routing_is_stable(self):
-        for user in (0, 1, 17, 123456):
-            assert ReplicaSet.route(user, 3) == ReplicaSet.route(user, 3)
-            assert 0 <= ReplicaSet.route(user, 3) < 3
-
-
-class TestReplicaFailover:
-    def test_kill_mid_load_loses_no_accepted_request(self, artifact,
-                                                     tiny_dataset, history):
-        backend = build_backend(artifact,
-                                HistoryStore.from_dataset(tiny_dataset),
-                                replicas=2, pool_timeout=30.0)
-        assert isinstance(backend, ReplicaSet)
-        server, host, port = start_server(backend, max_inflight=16)
-        killed = threading.Event()
-
-        def chaos(ordinal):
-            if ordinal == 20 and not killed.is_set():
-                killed.set()
-                backend.kill_replica(0)
-
-        try:
-            report = run_load(host, port, history.users[:16], connections=3,
-                              target_qps=150.0, total_requests=80, warmup=5,
-                              k=5, seed=3, on_request=chaos)
-            assert killed.is_set()
-            # Every accepted request terminated: answered, shed, or an
-            # explicit error — never a hang (sent covers all of them).
-            assert report.sent == 80
-            assert report.ok + report.shed + report.errors == 80
-            assert report.ok >= 40  # the survivor kept answering
-            # The dead replica respawns from the same artifact and serves.
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                if all(r.alive for r in backend.replicas):
-                    break
-                time.sleep(0.1)
-            assert all(r.alive for r in backend.replicas)
-            assert backend.replicas[0].generation >= 1
-            with NetClient(host, port) as client:
-                for user in history.users[:6]:
-                    assert client.recommend(user, k=5)["ok"]
-        finally:
-            server.stop()
-            backend.close()
-
-    def test_requests_fail_fast_when_every_replica_is_down(self, artifact,
-                                                           tiny_dataset):
-        backend = ReplicaSet(artifact, HistoryStore.from_dataset(tiny_dataset),
-                             replicas=1, pool_timeout=30.0,
-                             respawn_poll=30.0)  # keep the replica dead
-        server, host, port = start_server(backend)
-        try:
-            backend.kill_replica(0)
-            deadline = time.monotonic() + 10.0
-            while backend.replicas[0].alive and time.monotonic() < deadline:
-                time.sleep(0.05)
-            with NetClient(host, port) as client:
-                started = time.monotonic()
-                response = client.recommend(tiny_dataset.users[0], k=5)
-                assert not response["ok"]
-                assert response.get("retryable") is True
-                assert time.monotonic() - started < 10.0  # fail fast, no hang
-        finally:
-            server.stop()
-            backend.close()
-
-
 class TestLoadGenerator:
     def test_closed_loop_accounting(self, artifact, tiny_dataset, history):
-        backend = build_backend(artifact,
-                                HistoryStore.from_dataset(tiny_dataset))
+        backend = local_backend(artifact, tiny_dataset)
         server, host, port = start_server(backend, max_inflight=8)
         try:
             report = run_load(host, port, history.users[:10], connections=2,

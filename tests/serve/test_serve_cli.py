@@ -12,17 +12,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import _serve_request, build_parser, main
-from repro.serve import NetClient, RecommenderService, load_artifact
-
-
-@pytest.fixture(scope="module")
-def exported(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "artifact.npz"
-    assert main(["export", str(path), "--preset", "taobao",
-                 "--scale", "0.1", "--dim", "16", "--epochs", "1",
-                 "--seed", "3"]) == 0
-    return path
+from repro.cli import build_parser, main
+from repro.serve import (LocalBackend, NetClient, RecommenderService,
+                         load_artifact, normalize_request)
 
 
 class TestParser:
@@ -59,6 +51,11 @@ class TestParser:
         args = build_parser().parse_args(
             ["train", "--events-out", "ev.jsonl"])
         assert args.events_out == "ev.jsonl"
+
+
+def _serve_request(service, request: dict, default_k: int) -> dict:
+    """One request through the serve loop's path: parse, then execute."""
+    return LocalBackend(service).process(normalize_request(request, default_k))
 
 
 class TestServeRequest:
@@ -182,15 +179,15 @@ class TestEndToEnd:
         assert "serve.latency.total" in out
 
 
-class TestNetworkFleet:
-    """``--listen --replicas 2 --events-out``: fleet correlation end to end.
+class TestNetworkTelemetry:
+    """``--listen --events-out --metrics-out``: request correlation end to end.
 
     The CLI's network mode installs signal handlers, so the test drives a
-    real ``python -m repro serve`` subprocess: requests go over TCP, the
-    fleet events come back through the main file plus the replica spools.
+    real ``python -m repro serve`` subprocess: requests go over TCP, and the
+    spans come back through the events file.
     """
 
-    def serve_fleet(self, exported, tmp_path, requests):
+    def serve_listen(self, exported, tmp_path, requests):
         events_path = tmp_path / "net.jsonl"
         metrics_path = tmp_path / "net-metrics.json"
         env = dict(os.environ)
@@ -198,7 +195,7 @@ class TestNetworkFleet:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", str(exported),
-             "--listen", "127.0.0.1:0", "--replicas", "2",
+             "--listen", "127.0.0.1:0",
              "--events-out", str(events_path),
              "--metrics-out", str(metrics_path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -215,7 +212,7 @@ class TestNetworkFleet:
             assert ready_line and ready_line[0], (
                 f"server never became ready: {process.stderr.read()!r}")
             ready = json.loads(ready_line[0])
-            assert ready["ready"] and ready["replicas"] == 2
+            assert ready["ready"]
             with NetClient(ready["host"], ready["port"],
                            connect_retries=20) as client:
                 for request in requests:
@@ -230,17 +227,17 @@ class TestNetworkFleet:
         assert process.returncode == 0, process.stderr.read()
         return events_path, metrics_path, responses
 
-    def test_request_ids_correlate_across_processes(self, exported, tmp_path,
-                                                    capsys):
+    def test_request_ids_correlate_through_the_trace(self, exported, tmp_path,
+                                                     capsys):
         from repro.data import DATASET_PRESETS, generate, k_core_filter
-        from repro.obs import collect_fleet, read_events_tolerant
+        from repro.obs import read_events
         dataset = k_core_filter(generate(DATASET_PRESETS["taobao"](0.1),
                                          seed=3))
         users = dataset.users[:4]
         requests = [{"op": "recommend", "user": user, "k": 3}
                     for user in users]
         requests.append({"op": "recommend"})  # malformed: no user
-        events_path, metrics_path, responses = self.serve_fleet(
+        events_path, metrics_path, responses = self.serve_listen(
             exported, tmp_path, requests)
 
         for response in responses[:-1]:
@@ -249,50 +246,32 @@ class TestNetworkFleet:
         assert not error["ok"]
         assert error["request_id"].startswith("req-")  # correlation token
 
-        view = collect_fleet(events_path)
-        roles = {p["role"] for p in view.processes}
-        assert "main" in roles
-        assert any(role.startswith("replica") for role in roles)
-
-        spans = {s["span_id"]: s for s in view.spans}
-        front = [s for s in view.spans if s["name"] == "net.request"]
-        replica = [s for s in view.spans if s["name"] == "replica.request"]
+        spans = [e for e in read_events(events_path) if e["type"] == "span"]
+        by_id = {s["span_id"]: s for s in spans}
+        front = [s for s in spans if s["name"] == "net.request"]
+        served = [s for s in spans if s["name"] == "serve.request"]
         # the malformed request is rejected before dispatch: no span for it
-        assert len(front) == len(users)
-        assert len(replica) == len(users)
-        # every replica-side span joins a front-end request's tree and
-        # carries the same end-to-end request id
-        for child in replica:
-            assert child["proc"]["role"].startswith("replica")
-            parent = spans[child["parent_id"]]
+        assert len(front) == len(served) == len(users)
+        assert all(s["request_id"].startswith("req-") for s in front)
+        assert len({s["request_id"] for s in front}) == len(users)
+        # every service span hangs under its front-end request and carries
+        # the same end-to-end request id
+        for child in served:
+            parent = by_id[child["parent_id"]]
             assert parent["name"] == "net.request"
             assert child["trace_id"] == parent["trace_id"]
             assert child["request_id"] == parent["request_id"]
-        assert all(s["request_id"].startswith("req-") for s in front)
 
-        # merged fleet counters equal the sum of per-process counters
-        expected: dict = {}
-        for entry in view.processes:
-            events, _ = read_events_tolerant(entry["file"])
-            metric_events = [e for e in events if e.get("type") == "metrics"]
-            if not metric_events:
-                continue
-            counters = metric_events[-1]["registry"].get("counters", {})
-            for name, value in counters.items():
-                expected[name] = expected.get(name, 0) + value
-        assert any(name.startswith("serve.") for name in expected)
-        for name, value in expected.items():
-            assert view.registry.counter(name).value == value, name
-
-        # --metrics-out carries the same merged fleet view
+        # --metrics-out carries the front-end and service counters
         snapshot = json.loads(metrics_path.read_text(encoding="utf-8"))
         assert snapshot["net"]["requests"] == len(users)  # dispatched only
-        fleet_counters = snapshot["fleet"]["counters"]
-        assert fleet_counters["fleet.processes"] == len(view.processes)
+        assert snapshot["net"]["errors"] == 1
+        assert snapshot["backend"]["requests"] == len(users)
 
-        # one obs invocation renders the fleet-spanning tree
+        # one obs invocation renders the request tree
         assert main(["obs", str(events_path)]) == 0
         out = capsys.readouterr().out
         assert "net.request" in out
-        assert "replica.request" in out
-        assert "serve.batch" in out  # replica-side spans in the same render
+        assert "serve.request" in out
+        assert "serve.batch" in out
+        assert "serve.net.requests" in out  # counters from the final snapshot
