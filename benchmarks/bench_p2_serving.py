@@ -81,7 +81,7 @@ def _drive(artifact, dataset, max_batch: int) -> dict:
     users = history.users
     requests = [users[i % len(users)] for i in range(SERVE_REQUESTS)]
     with RecommenderService(artifact, history, index_backend="exact",
-                            max_batch=max_batch, max_wait_ms=2.0,
+                            max_batch=max_batch,
                             cache_capacity=1) as service:
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=SERVE_CLIENTS) as pool:

@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "raw quantized scores)")
     serve.add_argument("--k", type=int, default=10, help="default top-k per request")
     serve.add_argument("--max-batch", type=int, default=32)
-    serve.add_argument("--max-wait-ms", type=float, default=5.0)
     serve.add_argument("--probe-every", type=int, default=0,
                        help="with an approximate index, shadow-score every "
                             "N-th request on an exact index and record recall")
@@ -395,7 +394,7 @@ def _cmd_serve(args) -> int:
         backend = LocalBackend(RecommenderService(
             artifact, history, index_backend=index_backend,
             index_options=index_options, max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms, recall_probe_every=probe,
+            recall_probe_every=probe,
             registry=registry))
         try:
             if address is None:
@@ -415,12 +414,15 @@ def _cmd_serve(args) -> int:
 def _serve_stdin(args, backend, ready: dict) -> dict:
     """JSON-lines requests on stdin, one response line each on stdout."""
     from repro.serve import normalize_request
+    from repro.serve.net import internal_error, request_ids
 
     print(json.dumps(ready), flush=True)
+    ids = request_ids()
     for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
+        request_id = next(ids)
         try:
             request = json.loads(line)
             if isinstance(request, dict) and request.get("op") == "quit":
@@ -428,6 +430,8 @@ def _serve_stdin(args, backend, ready: dict) -> dict:
             response = backend.process(normalize_request(request, args.k))
         except (KeyError, ValueError, TypeError, RecursionError) as error:
             response = {"ok": False, "error": str(error)}
+        except Exception as error:  # noqa: BLE001 - the loop keeps serving
+            response = internal_error(error, request_id)
         print(json.dumps(response), flush=True)
     print(backend.report(), file=sys.stderr)
     return backend.stats()

@@ -112,23 +112,38 @@ def _cluster_assignments(config: SyntheticConfig, rng: np.random.Generator) -> n
     return clusters
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative table ``Generator.choice(p=probs)`` searches, built the
+    same way, so :func:`_draw` reproduces its draws bit for bit."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One index drawn from ``cdf``: the draw ``rng.choice(cdf.size, p=...)``
+    makes (one ``random()`` call, searched from the right) without
+    re-validating and re-summing the probabilities on every call."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _cluster_sampling_tables(config: SyntheticConfig, clusters: np.ndarray
                              ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-cluster (item_ids, probabilities) with Zipf popularity."""
+    """Per-cluster (item_ids, popularity CDF) with Zipf popularity."""
     tables = []
     for c in range(config.num_interests):
         item_ids = np.flatnonzero(clusters == c) + 1  # back to 1-based ids
         ranks = np.arange(1, item_ids.size + 1, dtype=np.float64)
         weights = ranks ** (-config.popularity_alpha)
-        tables.append((item_ids, weights / weights.sum()))
+        tables.append((item_ids, _cdf(weights / weights.sum())))
     return tables
 
 
 def _draw_user_mixture(config: SyntheticConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """A user's sparse interest mixture: (active clusters, probabilities)."""
+    """A user's sparse interest mixture: (active clusters, mixture CDF)."""
     active = rng.choice(config.num_interests, size=config.interests_per_user, replace=False)
     weights = rng.dirichlet(np.ones(config.interests_per_user) * 2.0)
-    return active, weights
+    return active, _cdf(weights)
 
 
 def generate(config: SyntheticConfig, seed: int = 0) -> MultiBehaviorDataset:
@@ -152,15 +167,15 @@ def generate(config: SyntheticConfig, seed: int = 0) -> MultiBehaviorDataset:
         for _ in range(num_sessions):
             if rng.random() < config.interest_drift:
                 active, mixture = _draw_user_mixture(config, rng)
-            cluster = int(active[rng.choice(mixture.size, p=mixture)])
-            item_ids, probs = tables[cluster]
+            cluster = int(active[_draw(rng, mixture)])
+            item_ids, popularity = tables[cluster]
             length = max(1, rng.poisson(config.session_length))
             session_views: list[int] = []
             for _ in range(length):
                 if rng.random() < config.noise_rate:
                     item = int(rng.integers(1, config.num_items + 1))
                 else:
-                    item = int(rng.choice(item_ids, p=probs))
+                    item = int(item_ids[_draw(rng, popularity)])
                 clock += 1
                 events.append(Interaction(user, item, root, clock))
                 session_views.append(item)

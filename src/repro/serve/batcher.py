@@ -3,10 +3,12 @@
 Single-request model inference wastes the substrate's batch parallelism: a
 ``(1, L)`` transformer forward costs nearly as much as a ``(16, L)`` one.
 :class:`MicroBatcher` sits between callers and the encoder: concurrent
-``submit`` calls enqueue; a worker thread flushes the queue as one batch when
-either ``max_batch`` requests are waiting (size trigger) or the oldest
-request has waited ``max_wait_ms`` (latency trigger).  Callers block until
-their result is ready, so the surface stays synchronous.
+``submit`` calls enqueue, and a worker thread takes whatever is queued (up
+to ``max_batch`` requests) as soon as it is free.  The batcher is
+work-conserving: a lone request is processed at once, never held back for
+company, and batches form under load because requests queue while the
+previous batch runs.  Callers block until their result is ready, so the
+surface stays synchronous.
 
 The clock is injectable; an ``on_flush`` hook reports batch sizes and
 per-request queue delays (wired to serving metrics).
@@ -38,24 +40,20 @@ class MicroBatcher:
     Args:
         process: ``process(payloads) -> results`` called on the worker thread
             with 1..max_batch payloads; must return one result per payload.
-        max_batch: flush as soon as this many requests are queued.
-        max_wait_ms: flush when the oldest queued request is this old, even
-            if the batch is not full.
-        clock: monotonic time source (injectable for tests).
+        max_batch: the most payloads one ``process`` call receives.
+        clock: monotonic time source for the reported queue delays
+            (injectable for tests).
         on_flush: optional ``on_flush(batch_size, queue_delays)`` observer.
     """
 
     def __init__(self, process: Callable[[Sequence], Sequence],
-                 max_batch: int = 32, max_wait_ms: float = 5.0,
+                 max_batch: int = 32,
                  clock: Callable[[], float] = time.monotonic,
                  on_flush: Callable[[int, list[float]], None] | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self._process = process
         self.max_batch = max_batch
-        self.max_wait = max_wait_ms / 1000.0
         self._clock = clock
         self._on_flush = on_flush
         self._queue: list[_Pending] = []
@@ -106,21 +104,13 @@ class MicroBatcher:
     # worker side
     # ------------------------------------------------------------------
     def _take_batch(self) -> list[_Pending] | None:
-        """Block until a batch is due (size or age trigger) or shutdown."""
+        """Block until something is queued (or shutdown), then take up to
+        ``max_batch`` of it; ``None`` once closed and drained."""
         with self._wake:
-            while True:
-                if self._queue:
-                    if self._closed or len(self._queue) >= self.max_batch:
-                        break
-                    oldest = self._queue[0].enqueued_at
-                    remaining = oldest + self.max_wait - self._clock()
-                    if remaining <= 0:
-                        break
-                    self._wake.wait(remaining)
-                elif self._closed:
+            while not self._queue:
+                if self._closed:
                     return None
-                else:
-                    self._wake.wait()
+                self._wake.wait()
             batch = self._queue[:self.max_batch]
             del self._queue[:len(batch)]
             return batch

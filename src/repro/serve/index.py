@@ -4,10 +4,11 @@ A retrieval index answers "given a user's K interest vectors, which items
 score highest?" without the caller touching the full catalog.  Three
 backends:
 
-* :class:`ExactIndex` — brute-force matmul over the whole item block.  Its
-  results are *identical* to offline full-catalog scoring (same readout, same
-  float64 ordering as :func:`repro.recommend.recommend`), which makes it both
-  the correctness baseline and the recall reference for approximate backends.
+* :class:`ExactIndex` — brute-force matmul over the whole item block, one
+  GEMM per block of users.  Its results are *identical* to offline
+  full-catalog scoring (same readout, same float64 scores, same
+  :func:`repro.recommend.top_k` order), which makes it both the correctness
+  baseline and the recall reference for approximate backends.
 * :class:`IVFIndex` — an inverted-file (coarse-quantized) index: items are
   partitioned by a seeded NumPy k-means; each interest vector probes its
   ``nprobe`` closest partitions and the per-interest candidate sets are
@@ -25,7 +26,8 @@ backends:
 Scores use the same multi-interest readout as the model (``max`` or
 label-aware ``softmax``), so a candidate's index score equals its model
 score.  All approximate backends apply seen-item exclusion *after* exact
-re-scoring, mirroring the offline path.
+re-scoring, mirroring the offline path, and every backend ranks through
+:func:`repro.recommend.top_k`: score descending, ties to the lower item id.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import heapq
 import threading
 
 import numpy as np
+
+from repro.recommend import top_k
 
 from .ops import interest_readout
 
@@ -49,6 +53,12 @@ INDEX_RUNTIME_OPTIONS = frozenset({"nprobe", "ef_search", "refine"})
 # Backends whose built structure can be serialized into an artifact bundle
 # and re-attached in O(mmap) (``exact`` has no structure worth shipping).
 SERIALIZABLE_BACKENDS = ("ivf", "hnsw", "pq", "ivf_pq", "exact_sq")
+
+# Users per GEMM in ExactIndex.search_many.  A block of 8 users keeps the
+# float32 (8·K, N) product and its float64 copy to ~2 MB at a 9k-item
+# catalog, and every row of the blocked product equals the one-user product
+# bit for bit, so a user's result does not depend on its batch.
+_SEARCH_BLOCK = 8
 
 
 class SearchResult:
@@ -125,11 +135,11 @@ def _apply_exclusions(scores: np.ndarray, exclude) -> np.ndarray:
     return scores
 
 
-def _finite_topk(items: np.ndarray, scores: np.ndarray, order: np.ndarray,
-                 candidates_scored: int, scan_seconds: float = 0.0,
-                 refine_seconds: float = 0.0, refined: int = 0) -> SearchResult:
-    keep = np.isfinite(scores[order])
-    order = order[keep]
+def _ranked(items: np.ndarray, scores: np.ndarray, k: int,
+            candidates_scored: int, scan_seconds: float = 0.0,
+            refine_seconds: float = 0.0, refined: int = 0) -> SearchResult:
+    """The :func:`~repro.recommend.top_k` of ``scores`` as a result."""
+    order = top_k(scores, k)
     # Fancy indexing copies, so the result does not alias scratch buffers.
     return SearchResult(items[order], scores[order], candidates_scored,
                         scan_seconds, refine_seconds, refined)
@@ -139,10 +149,12 @@ class ExactIndex:
     """Brute-force index over the ``(N, D)`` item block (row ``i`` = item
     ``i + 1``).
 
-    The full sort mirrors the offline path exactly — scores are promoted to
-    float64 and ordered with ``argsort(-scores)``, byte for byte the
-    selection :func:`repro.recommend.recommend_batch` performs — so served
+    Scores are promoted to float64 and ranked with
+    :func:`~repro.recommend.top_k`, the selection
+    :func:`repro.recommend.recommend_batch` performs, so served
     exact-backend top-k lists are interchangeable with offline ones.
+    :meth:`search_many` scores a batch of users with one GEMM per block of
+    :data:`_SEARCH_BLOCK` users; :meth:`search` is its batch of one.
     """
 
     backend = "exact"
@@ -155,12 +167,6 @@ class ExactIndex:
         self.score_pow = score_pow
         self.items = np.arange(1, self.num_items + 1, dtype=np.int64)
 
-    def combined_scores(self, interests: np.ndarray) -> np.ndarray:
-        """Readout scores ``(N,)`` of one user's interests over the catalog."""
-        queries = _as_queries(interests)
-        per_interest = queries @ self.vectors.T            # (K, N)
-        return interest_readout(per_interest, self.score_mode, self.score_pow)
-
     def resident_bytes(self) -> int:
         """Bytes that must stay hot for scanning (the full item block)."""
         return int(self.vectors.nbytes)
@@ -168,13 +174,37 @@ class ExactIndex:
     def search(self, interests: np.ndarray, k: int,
                exclude=None) -> SearchResult:
         """Exact top-``k``; ``exclude`` item ids are masked to ``-inf``."""
-        if k < 1:
+        return self.search_many(_as_queries(interests)[None], [k],
+                                [exclude])[0]
+
+    def search_many(self, interests: np.ndarray, ks, excludes
+                    ) -> list[SearchResult]:
+        """Exact top-``ks[u]`` for each user ``u`` of a ``(B, K, D)`` stack
+        of interests, masking the item ids in ``excludes[u]`` (or nothing,
+        for ``None``)."""
+        interests = np.asarray(interests)
+        if interests.ndim != 3:
+            raise ValueError(f"expected (B, K, D) interest queries, got "
+                             f"shape {interests.shape}")
+        if min(ks, default=1) < 1:
             raise ValueError("k must be positive")
-        scores = scratch.take((self.num_items,), np.float64)
-        np.copyto(scores, self.combined_scores(interests), casting="safe")
-        scores = _apply_exclusions(scores, exclude)
-        order = np.argsort(-scores)[:k]
-        return _finite_topk(self.items, scores, order, self.num_items)
+        num_users, num_interests, dim = interests.shape
+        results = []
+        for start in range(0, num_users, _SEARCH_BLOCK):
+            block = interests[start:start + _SEARCH_BLOCK]
+            rows = len(block)
+            per_interest = block.reshape(rows * num_interests, dim) \
+                @ self.vectors.T                                # (b·K, N)
+            combined = interest_readout(
+                per_interest.reshape(rows, num_interests, self.num_items),
+                self.score_mode, self.score_pow)
+            scores = scratch.take((rows, self.num_items), np.float64)
+            np.copyto(scores, combined, casting="safe")
+            for user, row_scores in zip(range(start, start + rows), scores):
+                row_scores = _apply_exclusions(row_scores, excludes[user])
+                results.append(_ranked(self.items, row_scores, ks[user],
+                                       self.num_items))
+        return results
 
 
 def _kmeans(vectors: np.ndarray, num_clusters: int, iterations: int,
@@ -314,14 +344,8 @@ class IVFIndex:
         scores = scratch.filled((self.num_items,), np.float64, -np.inf)
         scores[rows] = combined
         scores = _apply_exclusions(scores, exclude)
-        take = min(k, self.num_items)
-        if take < self.num_items:
-            shortlist = np.argpartition(-scores, take - 1)[:take]
-            order = shortlist[np.argsort(-scores[shortlist])]
-        else:
-            order = np.argsort(-scores)
         items = np.arange(1, self.num_items + 1, dtype=np.int64)
-        return _finite_topk(items, scores, order, len(rows))
+        return _ranked(items, scores, k, len(rows))
 
     def resident_bytes(self) -> int:
         """Bytes hot at scan time: item block + centroids + list rows."""
@@ -523,14 +547,8 @@ class HNSWIndex:
         scores = scratch.filled((self.num_items,), np.float64, -np.inf)
         scores[rows] = combined
         scores = _apply_exclusions(scores, exclude)
-        take = min(k, self.num_items)
-        if take < self.num_items:
-            shortlist = np.argpartition(-scores, take - 1)[:take]
-            order = shortlist[np.argsort(-scores[shortlist])]
-        else:
-            order = np.argsort(-scores)
         items = np.arange(1, self.num_items + 1, dtype=np.int64)
-        return _finite_topk(items, scores, order, len(rows))
+        return _ranked(items, scores, k, len(rows))
 
     def resident_bytes(self) -> int:
         """Bytes hot at search time: item block + levels + adjacency (links

@@ -57,7 +57,9 @@ __all__ = [
     "LocalBackend",
     "NetClient",
     "NetServer",
+    "internal_error",
     "normalize_request",
+    "request_ids",
     "run_load",
 ]
 
@@ -110,6 +112,24 @@ def normalize_request(request, default_k: int = 10) -> dict:
     if op in ("stats", "report"):
         return {"op": op}
     raise ValueError(f"unknown op {op!r} (expected recommend/append/stats/report)")
+
+
+def request_ids():
+    """Process-unique request ids, ``req-<pid in hex>-<n>`` for n = 1, 2, …"""
+    prefix = f"req-{os.getpid():x}-"
+    return (f"{prefix}{n}" for n in itertools.count(1))
+
+
+def internal_error(error: Exception, request_id: str) -> dict:
+    """The answer to a request whose backend raised unexpectedly.
+
+    Both front-ends call this at their request boundary: the traceback goes
+    to the log under ``request_id``, the client gets the exception's type
+    and message, and the connection (or stdin loop) keeps serving.
+    """
+    _log.error("request %s failed", request_id, exc_info=error)
+    return {"ok": False, "request_id": request_id,
+            "error": f"internal error: {type(error).__name__}: {error}"}
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +223,7 @@ class NetServer:
             "net.request.dispatch_seconds")
         # Correlates one request's response, its ``net.request`` span and
         # the service spans under it.
-        self._request_ids = itertools.count(1)
+        self._request_ids = request_ids()
         self.address: tuple[str, int] | None = None
         self._inflight = 0
         self._draining = False
@@ -350,7 +370,7 @@ class NetServer:
                     continue
                 if isinstance(request, dict) and request.get("op") == "quit":
                     break
-                request_id = f"req-{os.getpid():x}-{next(self._request_ids)}"
+                request_id = next(self._request_ids)
                 if self._inflight >= self.max_inflight:
                     self._shed_count.inc()
                     await self._send(writer, {
@@ -406,11 +426,11 @@ class NetServer:
         """
         started = time.monotonic()
         if get_telemetry() is None:
-            response = self._execute(op)
+            response = self._execute(op, request_id)
         else:
             with span("net.request", op=op["op"]) as net_span:
                 net_span.request_id = request_id
-                response = self._execute(op)
+                response = self._execute(op, request_id)
         self._dispatch_seconds.record(time.monotonic() - started)
         if not response.get("ok", False):
             response.setdefault("request_id", request_id)
@@ -418,11 +438,13 @@ class NetServer:
             response["stats"]["net"] = self.net_stats()
         return response
 
-    def _execute(self, op: dict) -> dict:
+    def _execute(self, op: dict, request_id: str) -> dict:
         try:
             return self.backend.process(op)
         except (KeyError, ValueError, TypeError) as error:
             return {"ok": False, "error": str(error)}
+        except Exception as error:  # noqa: BLE001 - the server keeps serving
+            return internal_error(error, request_id)
 
     def net_stats(self) -> dict:
         """The front-end's own counters (connections, sheds, timeouts)."""

@@ -43,8 +43,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .index import (SearchResult, _apply_exclusions, _as_queries,
-                    _finite_topk, _kmeans, scratch)
+from repro.recommend import top_k
+
+from .index import (SearchResult, _apply_exclusions, _as_queries, _kmeans,
+                    _ranked, scratch)
 from .ops import interest_readout, pq_adc_scores
 
 __all__ = ["ScalarQuantizer", "ProductQuantizer", "SQIndex", "PQIndex",
@@ -169,27 +171,16 @@ def _refine_and_rank(index, queries: np.ndarray, scan_scores: np.ndarray,
     exact backend.  This is the only float64 code path in the module.
     """
     start = perf_counter()
-    num_items = index.num_items
-    take = min(depth, num_items)
-    if take < num_items:
-        shortlist = np.argpartition(-scan_scores, take - 1)[:take]
-    else:
-        shortlist = np.arange(num_items, dtype=np.int64)
-    rows = shortlist[np.isfinite(scan_scores[shortlist])]
-    scores = scratch.filled((num_items,), np.float64, -np.inf)
+    # Ascending rows: the gather walks a memory-mapped block front to back.
+    rows = np.sort(top_k(scan_scores, depth))
+    scores = scratch.filled((index.num_items,), np.float64, -np.inf)
     if len(rows):
         gathered = np.asarray(index.vectors[rows], dtype=np.float32)
         per_interest = queries @ gathered.T                   # (K, R)
         scores[rows] = interest_readout(per_interest, index.score_mode,
                                         index.score_pow)
-    take_k = min(k, num_items)
-    if take_k < num_items:
-        short = np.argpartition(-scores, take_k - 1)[:take_k]
-        order = short[np.argsort(-scores[short])]
-    else:
-        order = np.argsort(-scores)
-    return _finite_topk(index.items, scores, order, scanned, scan_seconds,
-                        perf_counter() - start, int(len(rows)))
+    return _ranked(index.items, scores, k, scanned, scan_seconds,
+                   perf_counter() - start, int(len(rows)))
 
 
 class _QuantIndex:
@@ -229,13 +220,7 @@ class _QuantIndex:
         if depth > 0:
             return _refine_and_rank(self, queries, scores, k, depth, scanned,
                                     scan_seconds)
-        take = min(k, self.num_items)
-        if take < self.num_items:
-            shortlist = np.argpartition(-scores, take - 1)[:take]
-            order = shortlist[np.argsort(-scores[shortlist])]
-        else:
-            order = np.argsort(-scores)
-        return _finite_topk(self.items, scores, order, scanned, scan_seconds)
+        return _ranked(self.items, scores, k, scanned, scan_seconds)
 
 
 class SQIndex(_QuantIndex):

@@ -7,11 +7,12 @@ retrieval index (exact, IVF or HNSW), a versioned
 the micro-batching engine and always-on serving metrics.
 
 Request path: ``recommend(user, k)`` enqueues into the micro-batcher; the
-worker encodes all queued users as one batch (cache misses only), queries
-the index with each user's K interest vectors (seen items excluded), and
-returns ranked :class:`~repro.recommend.Recommendation` lists.  Per-stage
-latencies, QPS, cache hit rate and (for approximate backends) sampled
-recall-vs-exact land in :meth:`stats`.
+worker takes whatever is queued, encodes those users as one batch (cache
+misses only), queries the index with each user's K interest vectors (seen
+items excluded; the exact index scores the whole batch in blocked GEMMs),
+and returns ranked :class:`~repro.recommend.Recommendation` lists.
+Per-stage latencies, QPS, cache hit rate and (for approximate backends)
+sampled recall-vs-exact land in :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class RecommenderService:
             ``index_options`` carries structural knobs, which force a fresh
             build (runtime knobs ``nprobe`` / ``ef_search`` / ``refine``
             re-tune the prebuilt structure in place).
-        max_batch / max_wait_ms: micro-batching triggers.
+        max_batch: the most requests one micro-batch carries.
         cache_capacity / cache_ttl_seconds: interest-cache bounds.
         max_len: history truncation at encode time (matches the offline
             ``recommend`` default).
@@ -74,7 +75,7 @@ class RecommenderService:
     def __init__(self, artifact: InferenceArtifact, history: HistoryStore,
                  index_backend: str = "exact",
                  index_options: dict | None = None,
-                 max_batch: int = 32, max_wait_ms: float = 5.0,
+                 max_batch: int = 32,
                  cache_capacity: int = 4096, cache_ttl_seconds: float = 300.0,
                  max_len: int = 50, exclude_seen: bool = True,
                  recall_probe_every: int = 0, use_prebuilt: bool = True,
@@ -106,7 +107,7 @@ class RecommenderService:
         self.claim_wait_seconds = 5.0
         self._served = 0
         self._batcher = MicroBatcher(self._process_batch, max_batch=max_batch,
-                                     max_wait_ms=max_wait_ms, clock=clock,
+                                     clock=clock,
                                      on_flush=self.metrics.record_batch)
 
     def _make_index(self, backend: str, options: dict,
@@ -241,6 +242,17 @@ class RecommenderService:
                 interests[user] = vectors
         return interests
 
+    def _search(self, interests: dict[int, np.ndarray],
+                payloads: Sequence[tuple[int, int]], excludes: list) -> list:
+        """One index result per payload: a single blocked search on the
+        exact index, one ``search`` per user on the approximate ones."""
+        if isinstance(self.index, ExactIndex):
+            return self.index.search_many(
+                np.stack([interests[user] for user, _ in payloads]),
+                [k for _, k in payloads], excludes)
+        return [self.index.search(interests[user], k, exclude=exclude)
+                for (user, k), exclude in zip(payloads, excludes)]
+
     def _process_batch(self, payloads: Sequence[tuple[int, int]]
                        ) -> list[list[Recommendation]]:
         with span("serve.batch", size=len(payloads)):
@@ -250,15 +262,15 @@ class RecommenderService:
             self.metrics.record_stage("encode", self._clock() - started)
             results: list[list[Recommendation]] = []
             with span("serve.retrieve_rank"):
-                for user, k in payloads:
-                    exclude = (self.history.seen(user)
-                               if self.exclude_seen else None)
-                    retrieve_start = self._clock()
-                    found = self.index.search(interests[user], k,
-                                              exclude=exclude)
+                excludes = [self.history.seen(user) if self.exclude_seen
+                            else None for user, _ in payloads]
+                retrieve_start = self._clock()
+                found_all = self._search(interests, payloads, excludes)
+                self.metrics.record_stage("retrieve",
+                                          self._clock() - retrieve_start)
+                for (user, k), exclude, found in zip(payloads, excludes,
+                                                     found_all):
                     rank_start = self._clock()
-                    self.metrics.record_stage("retrieve",
-                                              rank_start - retrieve_start)
                     self.metrics.record_search(found)
                     results.append([
                         Recommendation(item=int(item), score=float(score),

@@ -1,10 +1,15 @@
 """Tests for the synthetic multi-behavior generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import (SyntheticConfig, TAOBAO_SCHEMA, generate, taobao_like, tmall_like,
                         yelp_like)
+from repro.data.synthetic import _cdf, _draw
 
 SMALL = SyntheticConfig(num_users=40, num_items=100, num_interests=4,
                         interests_per_user=2, min_target_events=3, name="small")
@@ -110,3 +115,48 @@ class TestPresets:
     def test_presets_generate(self, factory):
         ds = generate(factory(0.1), seed=0)
         assert ds.num_interactions > 0
+
+
+def corpus_digest(dataset) -> str:
+    """sha256 over every event (Python ``repr``, so an item that turned into
+    a NumPy scalar changes it) and the planted cluster labels."""
+    digest = hashlib.sha256()
+    for event in dataset.interactions():
+        digest.update(repr((event.user, event.item, event.behavior,
+                            event.timestamp)).encode())
+    digest.update(np.asarray(dataset.item_clusters, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+class TestFrozenCorpus:
+    """Every experiment, checkpoint and served corpus is rebuilt from
+    ``generate``; these digests were taken before its item and cluster draws
+    moved from ``rng.choice(p=...)`` to precomputed CDFs."""
+
+    @pytest.mark.parametrize("factory, events, expected", [
+        (taobao_like, 12207,
+         "3ae9ba8024a6189d3dbeee3204cb285227f040b2fd7566af28162de59a4cb143"),
+        (tmall_like, 8934,
+         "e5a8441d9154203df0a6d296b988818e80fcf7930acbaeca902b22cdce22e152"),
+        (yelp_like, 4870,
+         "822a4a853574637f204ef91eb01570cced1e3b54a5b31bb568b0649ce0ace2fb"),
+    ])
+    def test_preset_output_is_bitwise_frozen(self, factory, events, expected):
+        ds = generate(factory(0.5), seed=3)
+        assert ds.num_interactions == events
+        assert corpus_digest(ds) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
+                    max_size=12).filter(lambda w: sum(w) > 0),
+           st.integers(min_value=0, max_value=2 ** 32),
+           st.integers(min_value=1, max_value=40))
+    def test_cdf_draw_equals_choice_draw_for_draw(self, weights, seed, draws):
+        probs = np.asarray(weights, dtype=np.float64)
+        probs = probs / probs.sum()
+        cdf = _cdf(probs)
+        reference, fast = (np.random.default_rng(seed),
+                           np.random.default_rng(seed))
+        for _ in range(draws):
+            assert _draw(fast, cdf) == reference.choice(probs.size, p=probs)
+        assert fast.random() == reference.random()  # streams still aligned

@@ -83,7 +83,9 @@ class TestDisabledOverhead:
         A served request touches a handful of ``get_telemetry`` checks and
         no-op spans (front-end dispatch, service stages); budget an order of
         magnitude more against one real in-process recommend and hold the 2%
-        bar from the tentpole acceptance.
+        bar from the tentpole acceptance.  The recommends are uncached
+        (``cache_capacity=1``, as BENCH_P2 runs them), so each one pays the
+        full request path: queue, encode, retrieve and rank.
         """
         from repro.core import MISSL, MISSLConfig
         from repro.serve import (HistoryStore, RecommenderService,
@@ -105,7 +107,8 @@ class TestDisabledOverhead:
         # bundle above is both of them, so 10 bundles is ~10x headroom
         per_request_budget = 10 * _per_call_seconds(disabled_request_touches)
 
-        with RecommenderService(artifact, history, max_wait_ms=1.0) as service:
+        with RecommenderService(artifact, history,
+                                cache_capacity=1) as service:
             users = history.users[:8]
             for user in users:  # warm caches/index before measuring
                 service.recommend(user, k=5)

@@ -54,6 +54,76 @@ class TestExactIndex:
             index.search(queries[None], k=5)
 
 
+class TestBlockedSearch:
+    """``search_many`` scores users in blocks of ``_SEARCH_BLOCK`` with one
+    GEMM each; ``search`` is its batch of one.  A user's answer must not
+    depend on the batch it came in."""
+
+    @pytest.mark.parametrize("score_mode", ["max", "softmax"])
+    def test_blocked_equals_per_user_bitwise(self, score_mode):
+        from repro.serve.index import _SEARCH_BLOCK
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(1000, 32)).astype(np.float32)
+        users = 2 * _SEARCH_BLOCK + 3                 # straddles two edges
+        interests = rng.normal(size=(users, 4, 32)).astype(np.float32)
+        ks = [int(k) for k in rng.integers(1, 40, size=users)]
+        excludes = [set(rng.integers(1, 1001, size=30).tolist()) if u % 3
+                    else None for u in range(users)]
+        index = ExactIndex(vectors, score_mode=score_mode, score_pow=2.0)
+        blocked = index.search_many(interests, ks, excludes)
+        for user in range(users):
+            single = index.search(interests[user], ks[user],
+                                  exclude=excludes[user])
+            np.testing.assert_array_equal(blocked[user].items, single.items)
+            assert blocked[user].scores.tobytes() == single.scores.tobytes()
+            assert blocked[user].candidates_scored == 1000
+        # ...and the one-user product is the plain per-user matmul.
+        manual = (interests[0] @ vectors.T).max(axis=0).astype(np.float64)
+        if score_mode == "max":
+            top = index.search(interests[0], 5)
+            assert top.scores.tobytes() == \
+                manual[top.items - 1].tobytes()
+
+    def test_rejects_bad_inputs(self, vectors, queries):
+        index = ExactIndex(vectors)
+        with pytest.raises(ValueError, match="k must be positive"):
+            index.search_many(queries[None], [0], [None])
+        with pytest.raises(ValueError, match="interest queries"):
+            index.search_many(queries, [5], [None])
+
+
+@pytest.fixture(scope="module")
+def tied_vectors():
+    """Item rows drawn from five distinct vectors: scores tie in groups."""
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(5, 16)).astype(np.float32)
+    return base[rng.integers(0, 5, size=60)]
+
+
+def reference_order(vectors, queries, k, exclude=()):
+    """Item ids by (score descending, item id ascending), by a plain sort."""
+    scores = (queries @ vectors.T).max(axis=0).astype(np.float64)
+    items = [i + 1 for i in range(len(scores)) if i + 1 not in exclude]
+    return sorted(items, key=lambda item: (-scores[item - 1], item))[:k]
+
+
+class TestTieOrder:
+    @pytest.mark.parametrize("k", [7, 25, 60, 100])
+    def test_exact_ties_rank_by_ascending_item_id(self, tied_vectors,
+                                                  queries, k):
+        exclude = {2, 9, 30}
+        result = ExactIndex(tied_vectors).search(queries, k, exclude=exclude)
+        assert result.items.tolist() == reference_order(
+            tied_vectors, queries, k, exclude)
+
+    @pytest.mark.parametrize("k", [7, 25])
+    def test_full_probe_ivf_ties_rank_by_ascending_item_id(
+            self, tied_vectors, queries, k):
+        ivf = IVFIndex(tied_vectors, nlist=4, nprobe=4, seed=0)
+        assert ivf.search(queries, k).items.tolist() == reference_order(
+            tied_vectors, queries, k)
+
+
 class TestIVFIndex:
     def test_full_probe_matches_exact(self, vectors, queries):
         exact = ExactIndex(vectors).search(queries, k=20)

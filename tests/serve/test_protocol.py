@@ -13,6 +13,7 @@ import os
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,7 +84,7 @@ def test_normalize_request_returns_an_op_or_raises_a_request_error(request):
 @pytest.fixture(scope="module")
 def live_server(artifact, tiny_dataset):
     backend = LocalBackend(RecommenderService(
-        artifact, HistoryStore.from_dataset(tiny_dataset), max_wait_ms=0.5))
+        artifact, HistoryStore.from_dataset(tiny_dataset)))
     server = NetServer(backend)
     host, port = server.start_background()
     client = NetClient(host, port)
@@ -148,6 +149,87 @@ class TestNetServerConnection:
             assert stream.readline() == b""  # that connection is closed
         assert client.stats()["ok"]  # the server and other peers are not
         assert server.net_stats()["errors"] == errors + 1
+
+
+    def test_mid_line_disconnects_leave_the_server_serving(self, live_server,
+                                                          reference):
+        """A client that hangs up mid-line, or after a full line but before
+        reading the reply, costs nothing but its own connection."""
+        server, client = live_server
+        host, port = server.address
+        user, expected = reference
+        with socket.create_connection((host, port), timeout=30.0) as raw:
+            raw.sendall(b'{"op": "recommend", "us')
+        for _ in range(3):
+            with socket.create_connection((host, port), timeout=30.0) as raw:
+                raw.sendall(json.dumps({"user": user, "k": 5}).encode() + b"\n")
+        deadline = time.monotonic() + 10.0
+        while server.net_stats()["inflight"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.net_stats()["inflight"] == 0
+        response = client.recommend(user, k=5)
+        assert [response["items"], response["scores"]] == expected
+        with NetClient(host, port) as fresh:
+            response = fresh.recommend(user, k=5)
+        assert [response["items"], response["scores"]] == expected
+
+
+def _fail_once(interests):
+    """``interests`` that raises one unexpected error, then behaves."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise FloatingPointError("overflow in the encoder")
+        return interests(*args, **kwargs)
+    return wrapped
+
+
+class TestUnexpectedBackendErrors:
+    """An exception nobody anticipated is answered, logged and counted; the
+    connection or the stdin loop keeps serving."""
+
+    def test_socket_answers_then_keeps_serving(self, artifact, tiny_dataset,
+                                               reference):
+        user, expected = reference
+        service = RecommenderService(artifact,
+                                     HistoryStore.from_dataset(tiny_dataset))
+        service.encoder.interests = _fail_once(service.encoder.interests)
+        backend = LocalBackend(service)
+        server = NetServer(backend)
+        host, port = server.start_background()
+        try:
+            with NetClient(host, port) as client:
+                failed = client.recommend(user, k=5)
+                assert not failed["ok"]
+                assert failed["error"] == ("internal error: FloatingPointError:"
+                                           " overflow in the encoder")
+                assert failed["request_id"].startswith("req-")
+                response = client.recommend(user, k=5)
+                assert [response["items"], response["scores"]] == expected
+            assert server.net_stats()["errors"] == 1
+        finally:
+            server.stop()
+            backend.close()
+
+    def test_stdin_loop_answers_then_keeps_serving(self, exported,
+                                                   monkeypatch, capsys):
+        from repro.serve.encoder import MisslServingEncoder
+        monkeypatch.setattr(MisslServingEncoder, "interests",
+                            _fail_once(MisslServingEncoder.interests))
+        lines = [json.dumps({"op": "recommend", "user": 0, "k": 3}),
+                 json.dumps({"op": "recommend", "user": 0, "k": 3})]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["serve", str(exported)]) == 0
+        responses = [json.loads(line) for line in
+                     capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(responses) == 2
+        assert not responses[0]["ok"]
+        assert responses[0]["error"].startswith(
+            "internal error: FloatingPointError: overflow in the encoder")
+        assert responses[0]["request_id"].startswith("req-")
+        assert responses[1]["ok"] and len(responses[1]["items"]) == 3
 
 
 def _stdin_requests(user: int) -> bytes:

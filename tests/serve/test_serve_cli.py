@@ -61,7 +61,7 @@ def _serve_request(service, request: dict, default_k: int) -> dict:
 class TestServeRequest:
     @pytest.fixture
     def service(self, artifact, history):
-        with RecommenderService(artifact, history, max_wait_ms=1.0) as svc:
+        with RecommenderService(artifact, history) as svc:
             yield svc
 
     def test_recommend_op(self, service, tiny_dataset):
@@ -122,8 +122,8 @@ class TestEndToEnd:
         artifact = load_artifact(exported)
         dataset = k_core_filter(generate(DATASET_PRESETS["taobao"](0.1), seed=3))
         user = dataset.users[0]
-        with RecommenderService(artifact, HistoryStore.from_dataset(dataset),
-                                max_wait_ms=1.0) as svc:
+        with RecommenderService(artifact,
+                                HistoryStore.from_dataset(dataset)) as svc:
             expected = [r.item for r in svc.recommend(user, k=5)]
         requests = "\n".join([
             json.dumps({"op": "recommend", "user": user, "k": 5}),

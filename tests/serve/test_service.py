@@ -9,8 +9,7 @@ from repro.serve import HistoryStore, RecommenderService
 
 @pytest.fixture
 def service(artifact, history):
-    with RecommenderService(artifact, history, index_backend="exact",
-                            max_wait_ms=1.0) as svc:
+    with RecommenderService(artifact, history, index_backend="exact") as svc:
         yield svc
 
 
@@ -69,7 +68,7 @@ class TestCacheBehavior:
         # Even bypassing append_event, a direct history append makes the
         # cached entry unreachable because the version is part of the key.
         history = HistoryStore.from_dataset(tiny_dataset)
-        with RecommenderService(artifact, history, max_wait_ms=1.0) as svc:
+        with RecommenderService(artifact, history) as svc:
             user = tiny_dataset.users[0]
             svc.recommend(user, k=5)
             history.append(user, 1, tiny_dataset.schema.behaviors[0])
@@ -86,7 +85,7 @@ class TestStampedeSuppression:
         import time as time_mod
 
         history = HistoryStore.from_dataset(tiny_dataset)
-        with RecommenderService(artifact, history, max_wait_ms=1.0) as svc:
+        with RecommenderService(artifact, history) as svc:
             real_interests = svc.encoder.interests
             encode_calls = []
 
@@ -125,7 +124,7 @@ class TestStampedeSuppression:
         import threading
 
         history = HistoryStore.from_dataset(tiny_dataset)
-        with RecommenderService(artifact, history, max_wait_ms=1.0) as svc:
+        with RecommenderService(artifact, history) as svc:
             real_interests = svc.encoder.interests
             waiter_ready = threading.Event()
             outcome = {}
@@ -165,7 +164,7 @@ class TestStampedeSuppression:
 class TestApproximateBackend:
     def test_recall_probes_recorded(self, artifact, history):
         with RecommenderService(artifact, history, index_backend="ivf",
-                                index_options={"seed": 0}, max_wait_ms=1.0,
+                                index_options={"seed": 0},
                                 recall_probe_every=1) as svc:
             for user in history.users[:6]:
                 svc.recommend(user, k=10)
@@ -179,7 +178,7 @@ class TestApproximateBackend:
         nlist = int(round(np.sqrt(artifact.num_items)))
         with RecommenderService(
                 artifact, HistoryStore.from_dataset(tiny_dataset),
-                index_backend="ivf", max_wait_ms=1.0,
+                index_backend="ivf",
                 index_options={"nlist": nlist, "nprobe": nlist, "seed": 0}) as svc:
             for user in tiny_dataset.users[:4]:
                 approx = {r.item for r in svc.recommend(user, k=10)}
