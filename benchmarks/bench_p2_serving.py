@@ -65,9 +65,10 @@ def _exported_artifact():
     """
     context = ExperimentContext.build("taobao", scale=PERF_SCALE, seed=1)
     model = build_model("MISSL", context, dim=PERF_DIM, seed=1)
-    path = Path(tempfile.mkdtemp(prefix="repro-bench-p2-")) / "artifact.npz"
-    export_artifact(model, path)
-    return load_artifact(path), context.dataset
+    with tempfile.TemporaryDirectory(prefix="repro-bench-p2-") as root:
+        artifact = load_artifact(
+            export_artifact(model, Path(root) / "artifact.npz"))
+    return artifact, context.dataset
 
 
 def _drive(artifact, dataset, max_batch: int) -> dict:

@@ -61,9 +61,10 @@ def _exported_artifact():
     path does not depend on training)."""
     context = ExperimentContext.build("taobao", scale=PERF_SCALE, seed=1)
     model = build_model("MISSL", context, dim=PERF_DIM, seed=1)
-    path = Path(tempfile.mkdtemp(prefix="repro-bench-p8-")) / "artifact.npz"
-    export_artifact(model, path)
-    return load_artifact(path), context.dataset
+    with tempfile.TemporaryDirectory(prefix="repro-bench-p8-") as root:
+        artifact = load_artifact(
+            export_artifact(model, Path(root) / "artifact.npz"))
+    return artifact, context.dataset
 
 
 def _serve_load(artifact, dataset, registry=None) -> dict:
@@ -104,12 +105,12 @@ def run_bench() -> dict:
 
     disabled = _serve_load(artifact, dataset)
 
-    events_path = (Path(tempfile.mkdtemp(prefix="repro-bench-p8-obs-"))
-                   / "serve.jsonl")
-    with telemetry_session(events_path) as telemetry:
-        enabled = _serve_load(artifact, dataset,
-                              registry=telemetry.registry)
-    correlation = _correlation_facts(events_path)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-p8-obs-") as root:
+        events_path = Path(root) / "serve.jsonl"
+        with telemetry_session(events_path) as telemetry:
+            enabled = _serve_load(artifact, dataset,
+                                  registry=telemetry.registry)
+        correlation = _correlation_facts(events_path)
 
     regression = (enabled["p99_ms"] / disabled["p99_ms"] - 1.0
                   if disabled["p99_ms"] > 0 else 0.0)

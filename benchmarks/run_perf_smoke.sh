@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Smoke-run the perf benchmarks (P1 hot paths, P2 serving, P5 input
-# pipeline, P7 network serving, P8 telemetry overhead, P10 quantized
-# retrieval) at tiny scale.
+# pipeline, P8 telemetry overhead, P10 retrieval sweep) at tiny scale.
 #
 # Verifies the benchmark machinery end to end — all code paths execute and
-# BENCH_P1.json / BENCH_P2.json / BENCH_P5.json / BENCH_P7.json /
-# BENCH_P8.json / BENCH_P10.json are produced — without asserting the speedup floors, which are only meaningful at the default
-# scale (tiny corpora are dominated by fixed overheads).  The P10
-# quantized-parity gates stay ON even here: the memory-reduction and
-# recall floors and the mmap'd-bundle RSS advantage are scale-robust
-# correctness claims, not timing claims.  Intended for CI; finishes in
-# well under a minute.
+# BENCH_P1.json / BENCH_P2.json / BENCH_P5.json / BENCH_P8.json /
+# BENCH_P10.json are produced — without asserting the speedup floors, which
+# are only meaningful at the default scale (tiny corpora are dominated by
+# fixed overheads).  P10's gate stays ON even here: its catalogs are tiled
+# to fixed sizes, so the IVF-vs-exact ratio does not depend on the corpus
+# scale.  Intended for CI; finishes in about a minute.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,16 +21,7 @@ export REPRO_PERF_SERVE_CLIENTS="${REPRO_PERF_SERVE_CLIENTS:-8}"
 export REPRO_PERF_SERVE_MIN_SPEEDUP="${REPRO_PERF_SERVE_MIN_SPEEDUP:-0}"
 export REPRO_PERF_PIPELINE_EPOCHS="${REPRO_PERF_PIPELINE_EPOCHS:-1}"
 export REPRO_PERF_PIPELINE_MIN_SPEEDUP="${REPRO_PERF_PIPELINE_MIN_SPEEDUP:-0}"
-export REPRO_PERF_NET_REQUESTS="${REPRO_PERF_NET_REQUESTS:-120}"
-export REPRO_PERF_NET_CONNECTIONS="${REPRO_PERF_NET_CONNECTIONS:-4}"
 export REPRO_PERF_OBS_MAX_REGRESSION="${REPRO_PERF_OBS_MAX_REGRESSION:-0}"
-# Quantized retrieval: keep the parity gates (reduction + recall + RSS) on,
-# disable only the timing floors; shrink the synthetic catalog and the RSS
-# probe so the smoke stays fast.
-export REPRO_PERF_QUANT_MIN_SPAWN_SPEEDUP="${REPRO_PERF_QUANT_MIN_SPAWN_SPEEDUP:-0}"
-export REPRO_PERF_QUANT_P99_SLACK="${REPRO_PERF_QUANT_P99_SLACK:-0}"
-export REPRO_PERF_QUANT_CATALOG="${REPRO_PERF_QUANT_CATALOG:-2000}"
-export REPRO_PERF_QUANT_RSS_MB="${REPRO_PERF_QUANT_RSS_MB:-8}"
 
 # Static-analysis gate: new findings (anything not in lint-baseline.json)
 # fail the smoke run before any benchmark time is spent.  The --select pass
@@ -44,17 +33,16 @@ PYTHONPATH=src python -m repro lint src/repro \
     --select LOCK-DISCIPLINE,LOCK-ORDER,ASYNC-BLOCKING
 
 rm -f benchmarks/results/BENCH_P1.json benchmarks/results/BENCH_P2.json \
-      benchmarks/results/BENCH_P5.json benchmarks/results/BENCH_P7.json \
-      benchmarks/results/BENCH_P8.json benchmarks/results/BENCH_P10.json
+      benchmarks/results/BENCH_P5.json benchmarks/results/BENCH_P8.json \
+      benchmarks/results/BENCH_P10.json
 
 PYTHONPATH=src python benchmarks/bench_p1_hotpaths.py
 PYTHONPATH=src python benchmarks/bench_p2_serving.py
 PYTHONPATH=src python benchmarks/bench_p5_pipeline.py
-PYTHONPATH=src python benchmarks/bench_p7_net.py
 PYTHONPATH=src python benchmarks/bench_p8_fleet_obs.py
-PYTHONPATH=src python benchmarks/bench_p10_quant.py
+PYTHONPATH=src python benchmarks/bench_p10_retrieval.py
 
-for result in BENCH_P1.json BENCH_P2.json BENCH_P5.json BENCH_P7.json BENCH_P8.json BENCH_P10.json; do
+for result in BENCH_P1.json BENCH_P2.json BENCH_P5.json BENCH_P8.json BENCH_P10.json; do
     if [[ ! -f "benchmarks/results/$result" ]]; then
         echo "FAIL: benchmarks/results/$result was not produced" >&2
         exit 1
@@ -101,7 +89,7 @@ import sys
 artifact, scale, events = sys.argv[1], float(sys.argv[2]), sys.argv[3]
 proc = subprocess.Popen(
     [sys.executable, "-m", "repro", "serve", artifact,
-     "--listen", "127.0.0.1:0", "--index", "hnsw",
+     "--listen", "127.0.0.1:0", "--index", "ivf",
      "--events-out", events],
     stdout=subprocess.PIPE, text=True)
 try:

@@ -82,57 +82,30 @@ def build_parser() -> argparse.ArgumentParser:
                               "the fast paths")
 
     export = sub.add_parser("export", help="train MISSL and freeze a serving artifact")
-    export.add_argument("out", help="path for the artifact (.npz file, or "
-                                    "directory with --artifact-format dir)")
+    export.add_argument("out", help="path for the artifact (.npz file)")
     export.add_argument("--preset", default="taobao", choices=["taobao", "tmall", "yelp"])
     export.add_argument("--scale", type=float, default=0.4)
     export.add_argument("--dim", type=int, default=32)
     export.add_argument("--epochs", type=int, default=12)
     export.add_argument("--seed", type=int, default=1)
-    export.add_argument("--artifact-format", default="npz",
-                        choices=["npz", "dir"],
-                        help="npz: single compressed file; dir: directory "
-                             "bundle of mmap-able .npy files (can ship "
-                             "prebuilt indexes)")
-    export.add_argument("--prebuild", action="append", default=None,
-                        metavar="INDEX",
-                        choices=["ivf", "hnsw", "pq", "ivf_pq", "exact_sq"],
-                        help="build this index at export time and serialize "
-                             "it into the bundle (repeatable; requires "
-                             "--artifact-format dir)")
-    export.add_argument("--pq-m", type=int, default=8,
-                        help="PQ subspace count for prebuilt pq/ivf_pq codes")
 
     serve = sub.add_parser("serve", help="serve an exported artifact "
                                          "(JSON-lines on stdin/stdout)")
-    serve.add_argument("artifact", help="path to an exported artifact "
-                                        "(.npz file or directory bundle)")
+    serve.add_argument("artifact", help="path to an exported .npz artifact")
     serve.add_argument("--preset", default=None, choices=["taobao", "tmall", "yelp"],
                        help="corpus preset for user histories (defaults to the "
                             "provenance recorded in the artifact)")
     serve.add_argument("--scale", type=float, default=None)
     serve.add_argument("--seed", type=int, default=None)
-    serve.add_argument("--backend", default="exact",
-                       choices=["exact", "ivf", "hnsw", "pq", "ivf_pq",
-                                "exact_sq"])
-    serve.add_argument("--index", default=None,
-                       choices=["exact", "ivf", "hnsw", "pq", "ivf_pq",
-                                "exact_sq"],
-                       help="retrieval index (overrides --backend; the "
-                            "network-mode spelling)")
-    serve.add_argument("--pq-m", type=int, default=None,
-                       help="PQ subspace count (pq/ivf_pq; forces a fresh "
-                            "build even when the artifact ships a prebuilt "
-                            "index)")
-    serve.add_argument("--refine", type=int, default=0,
-                       help="with a quantized index, exactly re-score the "
-                            "top-N scan candidates in float64 (0 = serve "
-                            "raw quantized scores)")
+    serve.add_argument("--index", default="exact", choices=["exact", "ivf"],
+                       help="retrieval index: exact (served == offline) or "
+                            "ivf (approximate; recall < 1, faster on large "
+                            "catalogs)")
     serve.add_argument("--k", type=int, default=10, help="default top-k per request")
     serve.add_argument("--max-batch", type=int, default=32)
     serve.add_argument("--probe-every", type=int, default=0,
-                       help="with an approximate index, shadow-score every "
-                            "N-th request on an exact index and record recall")
+                       help="with --index ivf, shadow-score every N-th "
+                            "request on an exact index and record recall")
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
                        help="serve newline-delimited JSON over TCP instead "
                             "of stdin/stdout (port 0 picks a free port; the "
@@ -338,17 +311,9 @@ def _cmd_export(args) -> int:
                                          seed=args.seed)
     get_logger("repro.cli").info("MISSL on %s (scale %s): %s [%.1fs]",
                                  args.preset, args.scale, report, seconds)
-    prebuilt = tuple(dict.fromkeys(args.prebuild or ()))
-    if prebuilt and args.artifact_format != "dir":
-        print("--prebuild requires --artifact-format dir", file=sys.stderr)
-        return 2
     path = export_artifact(model, args.out,
                            extra={"preset": args.preset, "scale": args.scale,
-                                  "seed": args.seed},
-                           artifact_format=args.artifact_format,
-                           prebuilt=prebuilt,
-                           index_options={"pq": {"m": args.pq_m},
-                                          "ivf_pq": {"m": args.pq_m}})
+                                  "seed": args.seed})
     print(f"serving artifact written to {path}")
     return 0
 
@@ -366,7 +331,11 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             return 2
         address = (host, int(port_text))
-    artifact = load_artifact(args.artifact)
+    try:
+        artifact = load_artifact(args.artifact)
+    except (ValueError, OSError) as error:
+        print(error, file=sys.stderr)
+        return 2
     preset = args.preset or artifact.extra.get("preset")
     scale = args.scale if args.scale is not None else artifact.extra.get("scale")
     seed = args.seed if args.seed is not None else artifact.extra.get("seed", 1)
@@ -380,21 +349,13 @@ def _cmd_serve(args) -> int:
               f"artifact was exported with {artifact.num_items}", file=sys.stderr)
         return 2
     history = HistoryStore.from_dataset(dataset)
-    index_backend = args.index or args.backend
-    probe = args.probe_every if index_backend != "exact" else 0
-    index_options = {}
-    if args.pq_m is not None and index_backend in ("pq", "ivf_pq"):
-        index_options["m"] = args.pq_m
-    if args.refine and index_backend in ("pq", "ivf_pq", "exact_sq"):
-        index_options["refine"] = args.refine
     ready = {"ok": True, "ready": True, "users": len(history.users),
-             "num_items": artifact.num_items, "backend": index_backend}
+             "num_items": artifact.num_items, "backend": args.index}
     with _telemetry(args.events_out) as telemetry:
         registry = telemetry.registry if telemetry is not None else None
         backend = LocalBackend(RecommenderService(
-            artifact, history, index_backend=index_backend,
-            index_options=index_options, max_batch=args.max_batch,
-            recall_probe_every=probe,
+            artifact, history, index_backend=args.index,
+            max_batch=args.max_batch, recall_probe_every=args.probe_every,
             registry=registry))
         try:
             if address is None:
@@ -412,12 +373,19 @@ def _cmd_serve(args) -> int:
 
 
 def _serve_stdin(args, backend, ready: dict) -> dict:
-    """JSON-lines requests on stdin, one response line each on stdout."""
+    """JSON-lines requests on stdin, one response line each on stdout.
+
+    Counts the lines it answers and, of those, the ``ok: false`` answers,
+    whatever failed (parse, validation, the service or an internal error);
+    the final snapshot carries them as ``stdin`` next to the service's
+    ``backend`` block, as the socket front-end carries ``net``.
+    """
     from repro.serve import normalize_request
     from repro.serve.net import internal_error, request_ids
 
     print(json.dumps(ready), flush=True)
     ids = request_ids()
+    counts = {"requests": 0, "errors": 0}
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -432,9 +400,12 @@ def _serve_stdin(args, backend, ready: dict) -> dict:
             response = {"ok": False, "error": str(error)}
         except Exception as error:  # noqa: BLE001 - the loop keeps serving
             response = internal_error(error, request_id)
+        counts["requests"] += 1
+        if not response.get("ok", False):
+            counts["errors"] += 1
         print(json.dumps(response), flush=True)
     print(backend.report(), file=sys.stderr)
-    return backend.stats()
+    return {"stdin": counts, "backend": backend.stats()}
 
 
 def _serve_network(args, backend, address: tuple[str, int], ready: dict,

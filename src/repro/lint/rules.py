@@ -72,21 +72,12 @@ class DtypeDisciplineRule:
     description = ("np.zeros/ones/empty/full/arange need an explicit dtype, "
                    "and .astype/dtype targets must not be float64, inside "
                    "repro.nn / repro.core / repro.hypergraph / repro.serve "
-                   "hot paths; the quantized-retrieval module additionally "
-                   "requires a dtype on np.array/np.asarray and confines "
-                   "float64 to refine functions")
+                   "hot paths")
 
     PACKAGES = ("repro.nn", "repro.core", "repro.hypergraph", "repro.serve")
     FACTORIES = ("zeros", "ones", "empty", "full", "arange")
     # Spellings that statically resolve to a 64-bit (or wider) float dtype.
     FLOAT64_ATTRS = ("float64", "double", "float128", "longdouble")
-    # Modules whose arrays carry int8/uint8 codes: an implicit dtype is a
-    # silent promotion back to the float64/float32 block the module exists
-    # to avoid, so the converting constructors are held to the same bar as
-    # the factories — and float64 is legal only inside the exact refine
-    # step (functions named ``*refine*``), the one deliberate promotion.
-    STRICT_MODULES = ("repro.serve.quant",)
-    STRICT_FACTORIES = ("array", "asarray")
 
     def _is_float64(self, node: ast.AST) -> bool:
         attr = _numpy_attr(node)
@@ -98,59 +89,34 @@ class DtypeDisciplineRule:
             return node.value in self.FLOAT64_ATTRS
         return False
 
-    def _refine_spans(self, tree: ast.AST) -> tuple[tuple[int, int], ...]:
-        """Line spans of functions named ``*refine*`` (float64 is legal there)."""
-        return tuple(
-            (node.lineno, node.end_lineno or node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and "refine" in node.name)
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag dtype-less factories and statically-float64 dtype targets."""
         if not _in_packages(ctx.module, self.PACKAGES):
             return
-        strict = ctx.module in self.STRICT_MODULES
-        refine_spans = self._refine_spans(ctx.tree) if strict else ()
-
-        def float64_allowed(node: ast.AST) -> bool:
-            return strict and any(lo <= node.lineno <= hi
-                                  for lo, hi in refine_spans)
-
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             factory = _numpy_attr(node.func)
-            checked = self.FACTORIES + (self.STRICT_FACTORIES if strict
-                                        else ())
-            if factory in checked:
+            if factory in self.FACTORIES:
                 dtype = next((kw.value for kw in node.keywords
                               if kw.arg == "dtype"), None)
                 if dtype is None:
                     yield ctx.finding(
                         self.rule_id, node,
                         f"np.{factory} without an explicit dtype= "
-                        + ("(quantized paths carry int8/uint8 codes; an "
-                           "implicit dtype silently promotes them)"
-                           if factory in self.STRICT_FACTORIES else
-                           "(NumPy defaults to float64/int64)"))
-                elif self._is_float64(dtype) and not float64_allowed(node):
+                        "(NumPy defaults to float64/int64)")
+                elif self._is_float64(dtype):
                     yield ctx.finding(
                         self.rule_id, node,
                         f"np.{factory} with explicit float64 dtype "
-                        + ("(float64 belongs in the refine step only)"
-                           if strict else
-                           "(baseline with a reason if intentional)"))
+                        "(baseline with a reason if intentional)")
             elif (isinstance(node.func, ast.Attribute)
                     and node.func.attr == "astype" and node.args):
-                if (self._is_float64(node.args[0])
-                        and not float64_allowed(node)):
+                if self._is_float64(node.args[0]):
                     yield ctx.finding(
                         self.rule_id, node,
                         ".astype to float64 "
-                        + ("(float64 belongs in the refine step only)"
-                           if strict else
-                           "(baseline with a reason if intentional)"))
+                        "(baseline with a reason if intentional)")
 
 
 @register

@@ -56,12 +56,8 @@ METRIC_NAMES = frozenset({
     "serve.cache.stampede_suppressed",
     "serve.recall.sum",
     "serve.recall.samples",
-    # retrieval index (quantized scan/refine split, prebuilt attaches)
-    "serve.index.scan_seconds",
-    "serve.index.refine_seconds",
+    # retrieval index
     "serve.index.candidates",
-    "serve.index.refined",
-    "serve.index.prebuilt_loads",
     # serving network tier
     "serve.net.connections",
     "serve.net.requests",

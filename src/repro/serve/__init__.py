@@ -3,17 +3,11 @@
 Layers (each usable on its own):
 
 - :mod:`repro.serve.artifact` — export a trained model into a pure-NumPy
-  inference artifact loadable without the autodiff graph: a legacy ``.npz``
-  file or a memory-mappable directory bundle that can also carry prebuilt
-  index structures (attached in O(mmap) instead of rebuilt at load).
+  ``.npz`` inference artifact loadable without the autodiff graph.
 - :mod:`repro.serve.encoder` — autodiff-free forward pass that maps user
   histories to multi-interest vectors, bitwise-equal to the eval-mode model.
-- :mod:`repro.serve.index` — exact, IVF (coarse-quantized) and HNSW (layered
-  graph) retrieval over the frozen item table, queried with multi-interest
-  vectors.
-- :mod:`repro.serve.quant` — quantized retrieval: int8 scalar-quantized and
-  product-quantized (ADC) item tables with an optional exact refine step,
-  behind the same ``search`` API (backends ``exact_sq``, ``pq``, ``ivf_pq``).
+- :mod:`repro.serve.index` — exact and IVF (coarse-quantized) retrieval over
+  the frozen item table, queried with multi-interest vectors.
 - :mod:`repro.serve.history` / :mod:`~repro.serve.cache` /
   :mod:`~repro.serve.batcher` — versioned user histories, a TTL + LRU cache
   of interest vectors (with single-flight stampede suppression), and the
@@ -33,11 +27,8 @@ from .batcher import MicroBatcher
 from .cache import InterestCache
 from .encoder import MisslServingEncoder, build_encoder, register_encoder
 from .history import HistoryStore
-from .index import (ExactIndex, HNSWIndex, IVFIndex, SearchResult,
-                    build_index, load_index_state, topk_overlap)
+from .index import ExactIndex, IVFIndex, SearchResult, build_index, topk_overlap
 from .metrics import LatencyHistogram, ServingMetrics
-from .quant import (IVFPQIndex, PQIndex, ProductQuantizer, ScalarQuantizer,
-                    SQIndex)
 from .net import (LoadReport, LocalBackend, NetClient, NetServer,
                   normalize_request, run_load)
 from .service import RecommenderService
@@ -52,15 +43,8 @@ __all__ = [
     "register_encoder",
     "ExactIndex",
     "IVFIndex",
-    "HNSWIndex",
-    "SQIndex",
-    "PQIndex",
-    "IVFPQIndex",
-    "ScalarQuantizer",
-    "ProductQuantizer",
     "SearchResult",
     "build_index",
-    "load_index_state",
     "topk_overlap",
     "HistoryStore",
     "InterestCache",

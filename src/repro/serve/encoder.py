@@ -41,15 +41,8 @@ class MisslServingEncoder:
                              f"{artifact.family!r}")
         self.artifact = artifact
         config = artifact.config
-        # The item table stays as loaded — with a dir-format artifact that is
-        # a read-only memmap whose pages co-located processes share.  The
-        # small weight arrays, in contrast, are touched on every request, so
-        # mmap-backed ones are materialized once here to avoid per-request
-        # page-fault jitter (values are identical — parity is unaffected).
         self.table = artifact.item_table
-        self.params = {
-            name: np.array(value) if isinstance(value, np.memmap) else value
-            for name, value in artifact.params.items()}
+        self.params = dict(artifact.params)
         self.schema = artifact.schema
         self.dim = artifact.dim
         self.max_len = int(config["max_len"])

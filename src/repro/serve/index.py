@@ -1,38 +1,31 @@
 """Multi-interest item retrieval indexes.
 
 A retrieval index answers "given a user's K interest vectors, which items
-score highest?" without the caller touching the full catalog.  Three
+score highest?" without the caller touching the full catalog.  Two
 backends:
 
 * :class:`ExactIndex` — brute-force matmul over the whole item block, one
   GEMM per block of users.  Its results are *identical* to offline
   full-catalog scoring (same readout, same float64 scores, same
   :func:`repro.recommend.top_k` order), which makes it both the correctness
-  baseline and the recall reference for approximate backends.
+  baseline and the recall reference for the approximate backend.
 * :class:`IVFIndex` — an inverted-file (coarse-quantized) index: items are
   partitioned by a seeded NumPy k-means; each interest vector probes its
   ``nprobe`` closest partitions and the per-interest candidate sets are
   merged before exact re-scoring.  Classic ComiRec-style serving: K queries
-  against an ANN structure, merge, rank.
-* :class:`HNSWIndex` — a layered navigable-small-world proximity graph built
-  with seeded level draws.  Each interest vector descends from the top-layer
-  entry point and runs an ``ef_search``-wide beam over the bottom layer; the
-  union of beam candidates across interests is re-scored exactly, so recall
-  is tuned by one knob without touching the ranking math.  This is the
-  second-generation index: where IVF's recall plateaus against its partition
-  boundaries, widening ``ef_search`` walks the graph past them (the
-  recall-vs-p99 Pareto in BENCH_P7).
+  against an ANN structure, merge, rank.  It is the one approximate backend
+  on the recall@10/p99 frontier (BENCH_P10): at 10^5 items it reaches
+  recall@10 0.95 at a fraction of exact's p99.
 
 Scores use the same multi-interest readout as the model (``max`` or
 label-aware ``softmax``), so a candidate's index score equals its model
-score.  All approximate backends apply seen-item exclusion *after* exact
-re-scoring, mirroring the offline path, and every backend ranks through
+score.  IVF applies seen-item exclusion *after* exact re-scoring, mirroring
+the offline path, and both backends rank through
 :func:`repro.recommend.top_k`: score descending, ties to the lower item id.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 
 import numpy as np
@@ -41,18 +34,8 @@ from repro.recommend import top_k
 
 from .ops import interest_readout
 
-__all__ = ["ExactIndex", "IVFIndex", "HNSWIndex", "build_index",
-           "load_index_state", "SearchResult", "topk_overlap",
-           "INDEX_RUNTIME_OPTIONS", "SERIALIZABLE_BACKENDS"]
-
-# Search-time knobs that can be re-applied to a deserialized index without
-# rebuilding it (everything else — partition counts, graph degrees, code
-# sizes — is baked into the serialized structure).
-INDEX_RUNTIME_OPTIONS = frozenset({"nprobe", "ef_search", "refine"})
-
-# Backends whose built structure can be serialized into an artifact bundle
-# and re-attached in O(mmap) (``exact`` has no structure worth shipping).
-SERIALIZABLE_BACKENDS = ("ivf", "hnsw", "pq", "ivf_pq", "exact_sq")
+__all__ = ["ExactIndex", "IVFIndex", "build_index", "SearchResult",
+           "topk_overlap"]
 
 # Users per GEMM in ExactIndex.search_many.  A block of 8 users keeps the
 # float32 (8·K, N) product and its float64 copy to ~2 MB at a 9k-item
@@ -63,23 +46,15 @@ _SEARCH_BLOCK = 8
 
 class SearchResult:
     """Top-k result of one index query: parallel ``items`` / ``scores``
-    arrays (best first) plus the number of candidates actually scored.
-    Quantized backends additionally report their scan/refine split
-    (``scan_seconds`` / ``refine_seconds`` / ``refined``); other backends
-    leave those at zero."""
+    arrays (best first) plus the number of candidates actually scored."""
 
-    __slots__ = ("items", "scores", "candidates_scored", "scan_seconds",
-                 "refine_seconds", "refined")
+    __slots__ = ("items", "scores", "candidates_scored")
 
     def __init__(self, items: np.ndarray, scores: np.ndarray,
-                 candidates_scored: int, scan_seconds: float = 0.0,
-                 refine_seconds: float = 0.0, refined: int = 0):
+                 candidates_scored: int):
         self.items = items
         self.scores = scores
         self.candidates_scored = candidates_scored
-        self.scan_seconds = scan_seconds
-        self.refine_seconds = refine_seconds
-        self.refined = refined
 
     def __len__(self) -> int:
         return len(self.items)
@@ -89,8 +64,8 @@ class _ScratchBuffers:
     """Thread-local reusable arrays for the per-call score vectors.
 
     Every ``search`` used to allocate a fresh ``(N,)`` float64 buffer
-    (``astype(copy=True)`` on the exact path, ``np.full(-inf)`` on the
-    approximate ones).  Shapes repeat across a micro-batch — one buffer per
+    (``astype(copy=True)`` on the exact path, ``np.full(-inf)`` on the IVF
+    one).  Shapes repeat across a micro-batch — one buffer per
     ``(shape, dtype)`` per thread covers the whole batch without churn.
     Returned arrays alias the pool: callers must copy out anything that
     outlives the call (the fancy-indexed top-k slices the searches return
@@ -136,13 +111,11 @@ def _apply_exclusions(scores: np.ndarray, exclude) -> np.ndarray:
 
 
 def _ranked(items: np.ndarray, scores: np.ndarray, k: int,
-            candidates_scored: int, scan_seconds: float = 0.0,
-            refine_seconds: float = 0.0, refined: int = 0) -> SearchResult:
+            candidates_scored: int) -> SearchResult:
     """The :func:`~repro.recommend.top_k` of ``scores`` as a result."""
     order = top_k(scores, k)
     # Fancy indexing copies, so the result does not alias scratch buffers.
-    return SearchResult(items[order], scores[order], candidates_scored,
-                        scan_seconds, refine_seconds, refined)
+    return SearchResult(items[order], scores[order], candidates_scored)
 
 
 class ExactIndex:
@@ -352,267 +325,6 @@ class IVFIndex:
         return int(self.vectors.nbytes + self.centroids.nbytes
                    + sum(rows.nbytes for rows in self.lists))
 
-    # -- serialization ----------------------------------------------------
-    def state(self) -> tuple[dict, dict]:
-        """``(meta, arrays)`` capturing the built structure (not the item
-        block, which lives in the artifact)."""
-        sizes = np.fromiter((len(rows) for rows in self.lists), dtype=np.int64,
-                            count=self.nlist)
-        list_rows = np.concatenate(self.lists) if self.num_items else \
-            np.empty(0, dtype=np.int64)
-        meta = {"backend": self.backend, "nlist": int(self.nlist),
-                "nprobe": int(self.nprobe),
-                "auto_calibrated": bool(self.auto_calibrated),
-                "calibration": self.calibration,
-                "score_mode": self.score_mode,
-                "score_pow": float(self.score_pow)}
-        return meta, {"centroids": self.centroids, "list_rows": list_rows,
-                      "list_sizes": sizes}
-
-    @classmethod
-    def from_state(cls, item_vectors: np.ndarray, meta: dict, arrays: dict,
-                   score_mode: str = "max",
-                   score_pow: float = 1.0) -> "IVFIndex":
-        """Re-attach a serialized index in O(mmap) — no k-means re-run."""
-        index = cls.__new__(cls)
-        index.vectors = np.ascontiguousarray(item_vectors)
-        index.num_items = int(index.vectors.shape[0])
-        index.score_mode = score_mode
-        index.score_pow = score_pow
-        index.nlist = int(meta["nlist"])
-        index.nprobe = int(meta["nprobe"])
-        index.auto_calibrated = bool(meta.get("auto_calibrated", False))
-        index.calibration = meta.get("calibration")
-        index.centroids = np.asarray(arrays["centroids"])
-        sizes = np.asarray(arrays["list_sizes"], dtype=np.int64)
-        rows = np.asarray(arrays["list_rows"], dtype=np.int64)
-        bounds = np.cumsum(sizes)[:-1]
-        index.lists = np.split(rows, bounds)
-        return index
-
-
-class HNSWIndex:
-    """Hierarchical navigable-small-world graph index (seeded, NumPy-only).
-
-    Construction follows the classic HNSW recipe: every item draws a level
-    from a seeded geometric distribution (expected layer population shrinks
-    by ``1/M`` per layer); items insert one at a time by greedy descent from
-    the entry point through the upper layers, then an ``ef_construction``-wide
-    beam on each layer at or below their level picks the ``M`` most similar
-    neighbors, with reciprocal links pruned back to the per-layer degree cap.
-    Similarity is the inner product — the same quantity the readout scores —
-    so graph neighborhoods agree with what retrieval actually ranks.
-
-    Search runs one descent *per interest vector* (each interest lands in its
-    own region of the item space) and an ``ef_search``-wide bottom-layer
-    beam; the union of beam candidates across interests is re-scored exactly
-    with the model readout in float64, exclusions applied after re-scoring —
-    identical post-processing to :class:`IVFIndex`, so the only approximation
-    is which candidates the graph surfaces.
-
-    Args:
-        item_vectors: ``(N, D)`` catalog block, row ``i`` = item ``i + 1``.
-        M: neighbors kept per node per layer (bottom layer keeps ``2 * M``).
-        ef_construction: beam width while inserting (build quality).
-        ef_search: beam width while querying — *the* recall/latency knob;
-            raise it to walk more of the graph per interest.
-        score_mode / score_pow: multi-interest readout, as in the model.
-        seed: level-draw seed (construction is deterministic given it).
-    """
-
-    backend = "hnsw"
-
-    def __init__(self, item_vectors: np.ndarray, M: int = 8,
-                 ef_construction: int = 64, ef_search: int = 48,
-                 score_mode: str = "max", score_pow: float = 1.0,
-                 seed: int = 0):
-        self.vectors = np.ascontiguousarray(item_vectors)
-        self.num_items = int(self.vectors.shape[0])
-        if self.num_items < 1:
-            raise ValueError("cannot index an empty catalog")
-        self.score_mode = score_mode
-        self.score_pow = score_pow
-        self.M = max(2, int(M))
-        self.ef_construction = max(int(ef_construction), self.M + 1)
-        self.ef_search = max(1, int(ef_search))
-        rng = np.random.default_rng(seed)
-        level_mult = 1.0 / np.log(self.M)
-        draws = np.maximum(rng.random(self.num_items), 1e-12)
-        self._levels = np.floor(-np.log(draws) * level_mult).astype(np.int64)
-        layers = int(self._levels.max()) + 1
-        # Per layer: node -> neighbor list (python lists; degree-capped).
-        self._graph: list[dict[int, list[int]]] = [{} for _ in range(layers)]
-        self._entry = 0
-        self.max_level = 0
-        for node in range(self.num_items):
-            self._insert(node)
-
-    # -- construction -----------------------------------------------------
-    def _search_layer(self, query: np.ndarray, entries: list[int], ef: int,
-                      layer: int) -> list[tuple[float, int]]:
-        """Beam search on one layer: best-first over inner-product similarity.
-
-        Returns up to ``ef`` ``(similarity, node)`` pairs (a min-heap list,
-        not sorted).  Ties break on node id, keeping traversal deterministic.
-        """
-        adjacency = self._graph[layer]
-        visited = set(entries)
-        results: list[tuple[float, int]] = []
-        candidates: list[tuple[float, int]] = []
-        for node in entries:
-            sim = float(query @ self.vectors[node])
-            heapq.heappush(results, (sim, node))
-            heapq.heappush(candidates, (-sim, node))
-        while len(results) > ef:
-            heapq.heappop(results)
-        while candidates:
-            negative, node = heapq.heappop(candidates)
-            if len(results) >= ef and -negative < results[0][0]:
-                break
-            fresh = [n for n in adjacency.get(node, ()) if n not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            sims = self.vectors[fresh] @ query
-            for neighbor, sim in zip(fresh, sims):
-                sim = float(sim)
-                if len(results) < ef or sim > results[0][0]:
-                    heapq.heappush(results, (sim, neighbor))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    heapq.heappush(candidates, (-sim, neighbor))
-        return results
-
-    def _greedy_descent(self, query: np.ndarray, stop_layer: int) -> list[int]:
-        """Entry point refined layer by layer down to ``stop_layer + 1``."""
-        entry = [self._entry]
-        for layer in range(self.max_level, stop_layer, -1):
-            found = self._search_layer(query, entry, 1, layer)
-            entry = [max(found)[1]]
-        return entry
-
-    def _insert(self, node: int) -> None:
-        level = int(self._levels[node])
-        vector = self.vectors[node]
-        if not self._graph[0]:                       # very first node
-            for layer in range(level + 1):
-                self._graph[layer][node] = []
-            self.max_level = level
-            self._entry = node
-            return
-        entry = self._greedy_descent(vector, level)
-        for layer in range(min(level, self.max_level), -1, -1):
-            found = self._search_layer(vector, entry, self.ef_construction,
-                                       layer)
-            cap = 2 * self.M if layer == 0 else self.M
-            best = sorted(found, reverse=True)[:self.M]
-            self._graph[layer][node] = [n for _, n in best]
-            for _, neighbor in best:
-                links = self._graph[layer][neighbor]
-                links.append(node)
-                if len(links) > cap:
-                    sims = self.vectors[links] @ self.vectors[neighbor]
-                    order = np.argsort(-sims, kind="stable")[:cap]
-                    self._graph[layer][neighbor] = [links[i] for i in order]
-            entry = [n for _, n in found]
-        if level > self.max_level:
-            for layer in range(self.max_level + 1, level + 1):
-                self._graph[layer][node] = []
-            self.max_level = level
-            self._entry = node
-
-    # -- querying ---------------------------------------------------------
-    def _candidate_rows(self, queries: np.ndarray,
-                        ef_search: int | None = None) -> np.ndarray:
-        """Union of bottom-layer beam candidates over every interest."""
-        ef = self.ef_search if ef_search is None else max(1, int(ef_search))
-        rows: set[int] = set()
-        for query in queries:
-            entry = self._greedy_descent(query, 0)
-            found = self._search_layer(query, entry, ef, 0)
-            rows.update(node for _, node in found)
-        return np.fromiter(sorted(rows), dtype=np.int64, count=len(rows))
-
-    def search(self, interests: np.ndarray, k: int, exclude=None,
-               ef_search: int | None = None) -> SearchResult:
-        """Approximate top-``k``: per-interest graph beams, union, exact
-        re-score, rank.  ``ef_search`` overrides the constructor knob."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        queries = _as_queries(interests)
-        rows = self._candidate_rows(queries, ef_search)
-        per_interest = queries @ self.vectors[rows].T            # (K, M)
-        combined = interest_readout(per_interest, self.score_mode,
-                                    self.score_pow)
-        scores = scratch.filled((self.num_items,), np.float64, -np.inf)
-        scores[rows] = combined
-        scores = _apply_exclusions(scores, exclude)
-        items = np.arange(1, self.num_items + 1, dtype=np.int64)
-        return _ranked(items, scores, k, len(rows))
-
-    def resident_bytes(self) -> int:
-        """Bytes hot at search time: item block + levels + adjacency (links
-        counted at int64 width; the in-memory python lists cost more)."""
-        links = sum(len(neighbors) for layer in self._graph
-                    for neighbors in layer.values())
-        return int(self.vectors.nbytes + self._levels.nbytes + 8 * links)
-
-    # -- serialization ----------------------------------------------------
-    def state(self) -> tuple[dict, dict]:
-        """``(meta, arrays)``: levels plus one CSR (nodes/indptr/indices)
-        per layer — everything ``from_state`` needs to skip re-insertion."""
-        meta = {"backend": self.backend, "M": int(self.M),
-                "ef_construction": int(self.ef_construction),
-                "ef_search": int(self.ef_search),
-                "max_level": int(self.max_level), "entry": int(self._entry),
-                "layers": len(self._graph),
-                "score_mode": self.score_mode,
-                "score_pow": float(self.score_pow)}
-        arrays = {"levels": self._levels}
-        for layer, adjacency in enumerate(self._graph):
-            nodes = np.fromiter(adjacency.keys(), dtype=np.int64,
-                                count=len(adjacency))
-            sizes = np.fromiter((len(adjacency[int(n)]) for n in nodes),
-                                dtype=np.int64, count=len(nodes))
-            indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            indices = np.fromiter(
-                (n for node in nodes for n in adjacency[int(node)]),
-                dtype=np.int64, count=int(indptr[-1]))
-            arrays[f"layer{layer}_nodes"] = nodes
-            arrays[f"layer{layer}_indptr"] = indptr
-            arrays[f"layer{layer}_indices"] = indices
-        return meta, arrays
-
-    @classmethod
-    def from_state(cls, item_vectors: np.ndarray, meta: dict, arrays: dict,
-                   score_mode: str = "max",
-                   score_pow: float = 1.0) -> "HNSWIndex":
-        """Re-attach a serialized graph in O(links) — no insertion pass."""
-        index = cls.__new__(cls)
-        index.vectors = np.ascontiguousarray(item_vectors)
-        index.num_items = int(index.vectors.shape[0])
-        index.score_mode = score_mode
-        index.score_pow = score_pow
-        index.M = int(meta["M"])
-        index.ef_construction = int(meta["ef_construction"])
-        index.ef_search = int(meta["ef_search"])
-        index.max_level = int(meta["max_level"])
-        index._entry = int(meta["entry"])
-        index._levels = np.asarray(arrays["levels"], dtype=np.int64)
-        index._graph = []
-        for layer in range(int(meta["layers"])):
-            nodes = np.asarray(arrays[f"layer{layer}_nodes"], dtype=np.int64)
-            indptr = np.asarray(arrays[f"layer{layer}_indptr"],
-                                dtype=np.int64)
-            indices = np.asarray(arrays[f"layer{layer}_indices"],
-                                 dtype=np.int64)
-            adjacency = {
-                int(node): indices[indptr[i]:indptr[i + 1]].tolist()
-                for i, node in enumerate(nodes)}
-            index._graph.append(adjacency)
-        return index
-
 
 def topk_overlap(approx_items: np.ndarray, exact_items: np.ndarray) -> float:
     """Recall@k of an approximate result against the exact reference:
@@ -624,56 +336,13 @@ def topk_overlap(approx_items: np.ndarray, exact_items: np.ndarray) -> float:
 
 def build_index(item_vectors: np.ndarray, backend: str = "exact",
                 score_mode: str = "max", score_pow: float = 1.0, **kwargs):
-    """Construct a retrieval index: ``backend`` is ``"exact"``, ``"ivf"``,
-    ``"hnsw"``, or one of the quantized backends ``"pq"``, ``"ivf_pq"``,
-    ``"exact_sq"`` (see :mod:`repro.serve.quant`)."""
+    """Construct a retrieval index: ``backend`` is ``"exact"`` or ``"ivf"``
+    (``kwargs`` go to :class:`IVFIndex`)."""
     if backend == "exact":
         return ExactIndex(item_vectors, score_mode=score_mode,
                           score_pow=score_pow)
     if backend == "ivf":
         return IVFIndex(item_vectors, score_mode=score_mode,
                         score_pow=score_pow, **kwargs)
-    if backend == "hnsw":
-        return HNSWIndex(item_vectors, score_mode=score_mode,
-                         score_pow=score_pow, **kwargs)
-    if backend in ("pq", "ivf_pq", "exact_sq"):
-        from .quant import build_quant_index       # lazy: quant imports us
-        return build_quant_index(item_vectors, backend, score_mode=score_mode,
-                                 score_pow=score_pow, **kwargs)
-    raise ValueError(f"unknown index backend {backend!r}; choose 'exact', "
-                     f"'ivf', 'hnsw', 'pq', 'ivf_pq' or 'exact_sq'")
-
-
-def load_index_state(item_vectors: np.ndarray, meta: dict, arrays: dict,
-                     score_mode: str = "max", score_pow: float = 1.0,
-                     options: dict | None = None):
-    """Reconstruct a serialized index (``state()`` output) in O(attach).
-
-    ``options`` may carry :data:`INDEX_RUNTIME_OPTIONS` knobs (``nprobe``,
-    ``ef_search``, ``refine``) to re-tune the deserialized index without a
-    rebuild; unknown keys raise so a structural option (``nlist``, ``M``,
-    ``m``…) is never silently ignored against a prebuilt structure.
-    """
-    backend = meta.get("backend")
-    if backend == "ivf":
-        index = IVFIndex.from_state(item_vectors, meta, arrays,
-                                    score_mode=score_mode,
-                                    score_pow=score_pow)
-    elif backend == "hnsw":
-        index = HNSWIndex.from_state(item_vectors, meta, arrays,
-                                     score_mode=score_mode,
-                                     score_pow=score_pow)
-    elif backend in ("pq", "ivf_pq", "exact_sq"):
-        from .quant import load_quant_state        # lazy: quant imports us
-        index = load_quant_state(item_vectors, meta, arrays,
-                                 score_mode=score_mode, score_pow=score_pow)
-    else:
-        raise ValueError(f"cannot deserialize index backend {backend!r}; "
-                         f"serializable backends: {SERIALIZABLE_BACKENDS}")
-    for name, value in (options or {}).items():
-        if name not in INDEX_RUNTIME_OPTIONS or not hasattr(index, name):
-            raise ValueError(
-                f"option {name!r} cannot be applied to a prebuilt "
-                f"{backend!r} index; rebuild with build_index() instead")
-        setattr(index, name, value)
-    return index
+    raise ValueError(f"unknown index backend {backend!r}; choose 'exact' "
+                     f"or 'ivf'")

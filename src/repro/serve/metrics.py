@@ -78,14 +78,7 @@ class ServingMetrics:
             "serve.cache.stampede_suppressed")
         self._recall_sum = self.registry.gauge("serve.recall.sum")
         self._recall_count = self.registry.counter("serve.recall.samples")
-        self._index_scan = self.registry.histogram("serve.index.scan_seconds",
-                                                   cls=LatencyHistogram)
-        self._index_refine = self.registry.histogram(
-            "serve.index.refine_seconds", cls=LatencyHistogram)
         self._index_candidates = self.registry.counter("serve.index.candidates")
-        self._index_refined = self.registry.counter("serve.index.refined")
-        self._index_prebuilt_loads = self.registry.counter(
-            "serve.index.prebuilt_loads")
 
     # ------------------------------------------------------------------
     # registry-backed views (kept as attributes of the historic API)
@@ -183,19 +176,8 @@ class ServingMetrics:
         self._recall_count.inc()
 
     def record_search(self, result) -> None:
-        """Record one index query's candidate count and, for quantized
-        backends, its scan/refine timing split (non-quantized backends
-        report zero scan/refine seconds and are only counted)."""
+        """Count one index query's scored candidates."""
         self._index_candidates.inc(int(result.candidates_scored))
-        if result.scan_seconds:
-            self._index_scan.record(result.scan_seconds)
-        if result.refined:
-            self._index_refine.record(result.refine_seconds)
-            self._index_refined.inc(int(result.refined))
-
-    def record_prebuilt_load(self) -> None:
-        """Count one index attach from a serialized artifact structure."""
-        self._index_prebuilt_loads.inc()
 
     # ------------------------------------------------------------------
     # derived views
@@ -243,10 +225,6 @@ class ServingMetrics:
             },
             "search": {
                 "candidates_scored": self._index_candidates.value,
-                "refined": self._index_refined.value,
-                "prebuilt_loads": self._index_prebuilt_loads.value,
-                "scan": self._index_scan.snapshot(),
-                "refine": self._index_refine.snapshot(),
             },
             "stages": {stage: hist.snapshot()
                        for stage, hist in self.stages.items()},

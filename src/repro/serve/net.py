@@ -24,7 +24,7 @@ Three layers:
 * :class:`NetClient` and :func:`run_load` — a blocking NDJSON client and a
   closed-loop load generator (K persistent connections pacing a target
   aggregate QPS, warmup excluded from the measured window) used by the
-  parity tests, the serve smoke and ``benchmarks/bench_p7_net.py``.
+  parity tests, the serve smoke and ``benchmarks/bench_p8_fleet_obs.py``.
 
 ``BLOCKING-IO-CONTAINMENT`` (see :mod:`repro.lint`) pins every raw socket
 and blocking ``recv``/``sendall`` in the tree to this module, so the async

@@ -17,7 +17,7 @@ import numpy as np
 __all__ = [
     "linear", "layer_norm", "softmax", "masked_softmax", "masked_fill",
     "gelu", "sigmoid", "multi_head_attention", "transformer_encoder",
-    "build_attention_mask", "interest_readout", "pq_adc_scores",
+    "build_attention_mask", "interest_readout",
 ]
 
 _NEG_INF = -1e9
@@ -162,23 +162,3 @@ def interest_readout(per_interest: np.ndarray, score_mode: str = "max",
         return (weights * per_interest).sum(axis=-2)
     raise ValueError(f"unknown score_mode {score_mode!r}")
 
-
-def pq_adc_scores(luts: np.ndarray, codes: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Asymmetric-distance (ADC) scores from PQ lookup tables.
-
-    ``luts`` is ``(K, m, ksub)`` — for each of ``K`` queries, the inner
-    product of the query's ``m`` sub-vectors with every sub-codebook entry.
-    ``codes`` is ``(N, m)`` uint8.  The score of item ``n`` under query ``k``
-    is the sum over subspaces of ``luts[k, sub, codes[n, sub]]`` — one table
-    gather per subspace, never decoding the codes back to floats.
-    """
-    num_queries, m, _ = luts.shape
-    num_codes = codes.shape[0]
-    if out is None:
-        out = np.zeros((num_queries, num_codes), dtype=luts.dtype)
-    else:
-        out[:] = 0
-    for sub in range(m):
-        out += luts[:, sub, codes[:, sub]]
-    return out

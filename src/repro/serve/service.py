@@ -2,7 +2,7 @@
 
 :class:`RecommenderService` wires the serving subsystem together: a frozen
 :class:`~repro.serve.artifact.InferenceArtifact`, its NumPy encoder, a
-retrieval index (exact, IVF or HNSW), a versioned
+retrieval index (exact or IVF), a versioned
 :class:`~repro.serve.history.HistoryStore`, the TTL + LRU interest cache,
 the micro-batching engine and always-on serving metrics.
 
@@ -11,8 +11,8 @@ worker takes whatever is queued, encodes those users as one batch (cache
 misses only), queries the index with each user's K interest vectors (seen
 items excluded; the exact index scores the whole batch in blocked GEMMs),
 and returns ranked :class:`~repro.recommend.Recommendation` lists.
-Per-stage latencies, QPS, cache hit rate and (for approximate backends)
-sampled recall-vs-exact land in :meth:`stats`.
+Per-stage latencies, QPS, cache hit rate and (for IVF) sampled
+recall-vs-exact land in :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .batcher import MicroBatcher
 from .cache import InterestCache
 from .encoder import build_encoder
 from .history import HistoryStore
-from .index import (INDEX_RUNTIME_OPTIONS, ExactIndex, build_index,
-                    load_index_state, topk_overlap)
+from .index import ExactIndex, build_index, topk_overlap
 from .metrics import ServingMetrics
 
 __all__ = ["RecommenderService"]
@@ -45,25 +44,16 @@ class RecommenderService:
     Args:
         artifact: the exported model snapshot.
         history: user histories (seed with ``HistoryStore.from_dataset``).
-        index_backend: ``"exact"`` (parity with offline scoring), ``"ivf"``
-            or ``"hnsw"`` (approximate, faster on large catalogs), or a
-            quantized backend ``"pq"`` / ``"ivf_pq"`` / ``"exact_sq"``
-            (compact codes; see :mod:`repro.serve.quant`).
-        index_options: extra kwargs for the index constructor (e.g. ``nlist``
-            and ``nprobe`` for IVF; ``M``, ``ef_construction`` and
-            ``ef_search`` for HNSW; ``m`` and ``refine`` for PQ).
-        use_prebuilt: when the artifact ships a serialized structure for
-            ``index_backend`` (a ``dir`` bundle exported with ``prebuilt``),
-            attach it in O(mmap) instead of rebuilding — unless
-            ``index_options`` carries structural knobs, which force a fresh
-            build (runtime knobs ``nprobe`` / ``ef_search`` / ``refine``
-            re-tune the prebuilt structure in place).
+        index_backend: ``"exact"`` (parity with offline scoring) or
+            ``"ivf"`` (approximate, faster on large catalogs).
+        index_options: extra kwargs for the IVF constructor (e.g. ``nlist``
+            and ``nprobe``).
         max_batch: the most requests one micro-batch carries.
         cache_capacity / cache_ttl_seconds: interest-cache bounds.
         max_len: history truncation at encode time (matches the offline
             ``recommend`` default).
         exclude_seen: mask items the user already interacted with.
-        recall_probe_every: with an approximate backend, every N-th request
+        recall_probe_every: with the IVF backend, every N-th request
             is shadow-scored on an exact index and the top-k overlap recorded
             as recall (0 disables probing).
         clock: monotonic time source (injectable for tests).
@@ -78,7 +68,7 @@ class RecommenderService:
                  max_batch: int = 32,
                  cache_capacity: int = 4096, cache_ttl_seconds: float = 300.0,
                  max_len: int = 50, exclude_seen: bool = True,
-                 recall_probe_every: int = 0, use_prebuilt: bool = True,
+                 recall_probe_every: int = 0,
                  clock: Callable[[], float] = time.monotonic,
                  registry: MetricsRegistry | None = None):
         self.artifact = artifact
@@ -94,10 +84,10 @@ class RecommenderService:
         self.metrics = ServingMetrics(clock, registry=registry)
         self.cache = InterestCache(capacity=cache_capacity,
                                    ttl_seconds=cache_ttl_seconds, clock=clock)
-        self.index, self._index_prebuilt = self._make_index(
-            index_backend, dict(index_options or {}), use_prebuilt)
-        if self._index_prebuilt:
-            self.metrics.record_prebuilt_load()
+        self.index = build_index(artifact.item_vectors(), index_backend,
+                                 score_mode=self.encoder.score_mode,
+                                 score_pow=self.encoder.score_pow,
+                                 **(index_options or {}))
         self.recall_probe_every = int(recall_probe_every)
         self._reference_index: ExactIndex | None = None
         if self.index.backend != "exact" and self.recall_probe_every > 0:
@@ -109,28 +99,6 @@ class RecommenderService:
         self._batcher = MicroBatcher(self._process_batch, max_batch=max_batch,
                                      clock=clock,
                                      on_flush=self.metrics.record_batch)
-
-    def _make_index(self, backend: str, options: dict,
-                    use_prebuilt: bool) -> tuple[object, bool]:
-        """Attach the artifact's serialized index when possible, else build.
-
-        A prebuilt structure is used only when every requested option is a
-        runtime knob (:data:`~repro.serve.index.INDEX_RUNTIME_OPTIONS`) —
-        structural options (``nlist``, ``M``, ``m``…) mean the caller wants
-        a *different* structure than the one shipped, so we build it.
-        """
-        shipped = self.artifact.prebuilt.get(backend)
-        runtime_only = all(name in INDEX_RUNTIME_OPTIONS for name in options)
-        if use_prebuilt and shipped is not None and runtime_only:
-            index = load_index_state(
-                self.artifact.item_vectors(), shipped["meta"],
-                shipped["arrays"], score_mode=self.encoder.score_mode,
-                score_pow=self.encoder.score_pow, options=options)
-            return index, True
-        index = build_index(self.artifact.item_vectors(), backend,
-                            score_mode=self.encoder.score_mode,
-                            score_pow=self.encoder.score_pow, **options)
-        return index, False
 
     # ------------------------------------------------------------------
     # request surface
@@ -245,7 +213,7 @@ class RecommenderService:
     def _search(self, interests: dict[int, np.ndarray],
                 payloads: Sequence[tuple[int, int]], excludes: list) -> list:
         """One index result per payload: a single blocked search on the
-        exact index, one ``search`` per user on the approximate ones."""
+        exact index, one ``search`` per user on IVF."""
         if isinstance(self.index, ExactIndex):
             return self.index.search_many(
                 np.stack([interests[user] for user, _ in payloads]),
@@ -300,7 +268,6 @@ class RecommenderService:
         snapshot["cache"]["expirations"] = self.cache.expirations
         index_info = {"backend": self.index.backend,
                       "num_items": self.index.num_items,
-                      "prebuilt": self._index_prebuilt,
                       "resident_bytes": int(self.index.resident_bytes())}
         if self.index.backend == "ivf":
             index_info["nlist"] = self.index.nlist
@@ -308,12 +275,6 @@ class RecommenderService:
             index_info["auto_calibrated"] = self.index.auto_calibrated
             if self.index.calibration is not None:
                 index_info["calibration"] = self.index.calibration
-        elif self.index.backend == "hnsw":
-            index_info["M"] = self.index.M
-            index_info["ef_search"] = self.index.ef_search
-            index_info["max_level"] = self.index.max_level
-        elif self.index.backend in ("pq", "ivf_pq", "exact_sq"):
-            index_info.update(self.index.describe())
         snapshot["index"] = index_info
         return snapshot
 

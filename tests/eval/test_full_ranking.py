@@ -74,3 +74,10 @@ class TestFullRanking:
             CandidateSets(tiny_dataset, tiny_split.test, 30, seed=0),
             tiny_dataset.schema, ks=(10,))
         assert full["HR@10"] <= sampled["HR@10"] + 1e-9
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_restores_model_mode(self, tiny_dataset, tiny_split, training):
+        model = FixedScores(np.zeros(tiny_dataset.num_items + 1))
+        model.train(training)
+        full_ranking_ranks(model, tiny_dataset, tiny_split.test[:3])
+        assert model.training is training

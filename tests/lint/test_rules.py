@@ -82,38 +82,12 @@ class TestDtypeDiscipline:
         assert result.ok
         assert result.suppressed_count == 1
 
-    def test_quant_module_requires_dtype_on_converters(self, write_module):
-        path = write_module("repro.serve.quant", """\
-            import numpy as np
-            a = np.asarray(codes)
-            b = np.array(codes)
-            c = np.asarray(codes, dtype=np.uint8)
-        """)
-        result = run_rule("DTYPE-DISCIPLINE", path)
-        assert len(result.findings) == 2
-        assert all("silently promotes" in f.message for f in result.findings)
-
     def test_converters_unchecked_outside_quant(self, write_module):
         path = write_module("repro.serve.index", """\
             import numpy as np
             a = np.asarray(rows)
         """)
         assert run_rule("DTYPE-DISCIPLINE", path).ok
-
-    def test_quant_confines_float64_to_refine_functions(self, write_module):
-        path = write_module("repro.serve.quant", """\
-            import numpy as np
-
-            def _refine_and_rank(scores):
-                return scores.astype(np.float64)
-
-            def scan(codes):
-                return codes.astype(np.float64)
-        """)
-        result = run_rule("DTYPE-DISCIPLINE", path)
-        assert len(result.findings) == 1
-        assert result.findings[0].code == "return codes.astype(np.float64)"
-        assert "refine step only" in result.findings[0].message
 
 
 class TestScatterContainment:

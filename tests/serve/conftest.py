@@ -41,3 +41,27 @@ def exported(tmp_path_factory):
                  "--scale", "0.1", "--dim", "16", "--epochs", "1",
                  "--seed", "3"]) == 0
     return path
+
+
+@pytest.fixture
+def damaged(tmp_path):
+    """``damaged(path, kind)``: a copy of the ``.npz`` at ``path`` with one
+    byte flipped mid-way through its ``item_table.npy`` member
+    (``kind="flipped"``) or its last 200 bytes cut off (``"truncated"``)."""
+    import zipfile
+
+    def make(path, kind: str):
+        data = bytearray(path.read_bytes())
+        if kind == "flipped":
+            with zipfile.ZipFile(path) as archive:
+                info = archive.getinfo("item_table.npy")
+            start = (info.header_offset + 30 + len(info.filename.encode())
+                     + len(info.extra))
+            data[start + info.compress_size // 2] ^= 0xFF
+        else:
+            del data[-200:]
+        out = tmp_path / f"{kind}.npz"
+        out.write_bytes(bytes(data))
+        return out
+
+    return make

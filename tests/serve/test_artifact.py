@@ -68,6 +68,16 @@ class TestRoundTrip:
             load_artifact(path)
 
 
+class TestDamagedArtifact:
+    @pytest.mark.parametrize("kind", ["flipped", "truncated"])
+    def test_refused_with_an_error_naming_the_file(self, artifact_path,
+                                                   damaged, kind):
+        bad = damaged(artifact_path, kind)
+        with pytest.raises(ValueError, match="damaged artifact") as info:
+            load_artifact(bad)
+        assert str(bad) in str(info.value)
+
+
 class TestEncoderParity:
     """The autodiff-free encoder must match the eval-mode model bitwise."""
 

@@ -1,10 +1,9 @@
-"""Retrieval-index tests: exact baseline, IVF/HNSW recall, exclusions."""
+"""Retrieval-index tests: exact baseline, IVF recall, exclusions."""
 
 import numpy as np
 import pytest
 
-from repro.serve import (ExactIndex, HNSWIndex, IVFIndex, build_index,
-                         topk_overlap)
+from repro.serve import ExactIndex, IVFIndex, build_index, topk_overlap
 
 
 @pytest.fixture(scope="module")
@@ -190,95 +189,6 @@ class TestIVFIndex:
         result = ivf.search(queries, k=10, exclude=exclude)
         assert not exclude & set(result.items.tolist())
 
-    def test_state_round_trip(self, vectors, queries):
-        ivf = IVFIndex(vectors, nlist=8, seed=0)
-        meta, arrays = ivf.state()
-        clone = IVFIndex.from_state(vectors, meta, arrays)
-        original = ivf.search(queries, k=10, exclude={1, 2})
-        restored = clone.search(queries, k=10, exclude={1, 2})
-        np.testing.assert_array_equal(original.items, restored.items)
-        np.testing.assert_array_equal(original.scores, restored.scores)
-        assert clone.nprobe == ivf.nprobe
-        assert clone.auto_calibrated == ivf.auto_calibrated
-
-
-class TestHNSWIndex:
-    def test_wide_beam_matches_exact(self, vectors, queries):
-        exact = ExactIndex(vectors).search(queries, k=20)
-        hnsw = HNSWIndex(vectors, M=8, ef_search=200, seed=0)
-        approx = hnsw.search(queries, k=20)
-        assert topk_overlap(approx.items, exact.items) == 1.0
-        np.testing.assert_allclose(np.sort(approx.scores),
-                                   np.sort(exact.scores))
-
-    def test_narrow_beam_prunes_candidates(self, vectors, queries):
-        hnsw = HNSWIndex(vectors, M=8, ef_search=16, seed=0)
-        result = hnsw.search(queries, k=10)
-        assert result.candidates_scored < 200
-        assert len(result) <= 10
-
-    def test_recall_improves_with_ef_search(self, vectors, queries):
-        exact = ExactIndex(vectors).search(queries, k=10)
-        hnsw = HNSWIndex(vectors, M=8, ef_search=8, seed=0)
-        narrow = topk_overlap(hnsw.search(queries, k=10).items, exact.items)
-        wide = topk_overlap(
-            hnsw.search(queries, k=10, ef_search=128).items, exact.items)
-        assert wide >= narrow
-        assert wide >= 0.9
-
-    def test_per_call_ef_search_override(self, vectors, queries):
-        hnsw = HNSWIndex(vectors, M=8, ef_search=16, seed=0)
-        narrow = hnsw.search(queries, k=10)
-        wide = hnsw.search(queries, k=10, ef_search=128)
-        assert wide.candidates_scored > narrow.candidates_scored
-        assert hnsw.ef_search == 16  # the constructor knob is untouched
-
-    def test_deterministic_given_seed(self, vectors, queries):
-        first = HNSWIndex(vectors, M=8, seed=3).search(queries, k=10)
-        second = HNSWIndex(vectors, M=8, seed=3).search(queries, k=10)
-        np.testing.assert_array_equal(first.items, second.items)
-        np.testing.assert_allclose(first.scores, second.scores)
-
-    def test_layered_structure(self, vectors):
-        hnsw = HNSWIndex(vectors, M=4, seed=0)
-        assert hnsw.max_level >= 1  # 200 items at 1/ln(4) decay span layers
-        assert len(hnsw._graph[0]) == 200  # every item lives on layer 0
-        for layer in range(1, hnsw.max_level + 1):
-            assert len(hnsw._graph[layer]) < len(hnsw._graph[layer - 1])
-        for node, links in hnsw._graph[0].items():
-            assert len(links) <= 2 * hnsw.M
-            assert node not in links
-
-    def test_exclusions_absent(self, vectors, queries):
-        hnsw = HNSWIndex(vectors, M=8, ef_search=64, seed=0)
-        exclude = set(hnsw.search(queries, k=5).items.tolist())
-        result = hnsw.search(queries, k=10, exclude=exclude)
-        assert not exclude & set(result.items.tolist())
-
-    def test_single_item_catalog(self, queries):
-        hnsw = HNSWIndex(queries[:1], M=4, seed=0)
-        result = hnsw.search(queries, k=5)
-        assert len(result) == 1 and result.items[0] == 1
-
-    def test_rejects_bad_inputs(self, vectors, queries):
-        hnsw = HNSWIndex(vectors, M=8, seed=0)
-        with pytest.raises(ValueError, match="k must be positive"):
-            hnsw.search(queries, k=0)
-        with pytest.raises(ValueError, match="empty catalog"):
-            HNSWIndex(vectors[:0])
-
-    def test_state_round_trip(self, vectors, queries):
-        hnsw = HNSWIndex(vectors, M=8, ef_search=32, seed=0)
-        meta, arrays = hnsw.state()
-        clone = HNSWIndex.from_state(vectors, meta, arrays)
-        assert clone._graph == hnsw._graph
-        assert clone._entry == hnsw._entry
-        assert clone.max_level == hnsw.max_level
-        original = hnsw.search(queries, k=10, exclude={1, 2})
-        restored = clone.search(queries, k=10, exclude={1, 2})
-        np.testing.assert_array_equal(original.items, restored.items)
-        np.testing.assert_array_equal(original.scores, restored.scores)
-
 
 class TestHelpers:
     def test_topk_overlap(self):
@@ -288,24 +198,11 @@ class TestHelpers:
     def test_build_index_dispatch(self, vectors):
         assert build_index(vectors, "exact").backend == "exact"
         assert build_index(vectors, "ivf", nlist=4).backend == "ivf"
-        assert build_index(vectors, "hnsw", M=4).backend == "hnsw"
-        assert build_index(vectors, "exact_sq").backend == "exact_sq"
-        assert build_index(vectors, "pq", m=4).backend == "pq"
-        assert build_index(vectors, "ivf_pq", m=4).backend == "ivf_pq"
-        with pytest.raises(ValueError, match="unknown index backend"):
-            build_index(vectors, "faiss")
-
-    def test_load_index_state_runtime_options(self, vectors):
-        from repro.serve import load_index_state
-        ivf = IVFIndex(vectors, nlist=8, seed=0)
-        meta, arrays = ivf.state()
-        retuned = load_index_state(vectors, meta, arrays,
-                                   options={"nprobe": 3})
-        assert retuned.nprobe == 3
-        with pytest.raises(ValueError, match="cannot be applied"):
-            load_index_state(vectors, meta, arrays, options={"nlist": 4})
+        for gone in ("faiss", "hnsw", "pq", "ivf_pq", "exact_sq"):
+            with pytest.raises(ValueError, match="unknown index backend"):
+                build_index(vectors, gone)
 
     def test_resident_bytes_reported(self, vectors):
-        for backend in ("exact", "ivf", "hnsw"):
+        for backend in ("exact", "ivf"):
             index = build_index(vectors, backend)
             assert index.resident_bytes() >= vectors.nbytes

@@ -153,14 +153,12 @@ class TestLocalBackendOverSocket:
 
 
 class TestSocketParity:
-    @pytest.mark.parametrize("index_backend", ["exact", "ivf", "hnsw"])
+    @pytest.mark.parametrize("index_backend", ["exact", "ivf"])
     def test_socket_answers_match_in_process(self, artifact, tiny_dataset,
                                              parity_users, index_backend):
         options = {"index_backend": index_backend}
         if index_backend == "ivf":
             options["index_options"] = {"nlist": 8, "nprobe": 4, "seed": 0}
-        elif index_backend == "hnsw":
-            options["index_options"] = {"M": 8, "ef_search": 32, "seed": 0}
         service = RecommenderService(
             artifact, HistoryStore.from_dataset(tiny_dataset), **options)
         expected = {user: [(r.item, r.score)

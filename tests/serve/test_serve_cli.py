@@ -24,21 +24,27 @@ class TestParser:
 
     def test_serve_parses(self):
         args = build_parser().parse_args(
-            ["serve", "art.npz", "--backend", "ivf", "--probe-every", "5"])
+            ["serve", "art.npz", "--index", "ivf", "--probe-every", "5"])
         assert args.command == "serve"
-        assert args.backend == "ivf" and args.probe_every == 5
+        assert args.index == "ivf" and args.probe_every == 5
+        assert build_parser().parse_args(["serve", "art.npz"]).index == "exact"
 
-    def test_export_quant_flags_parse(self):
-        args = build_parser().parse_args(
-            ["export", "out", "--artifact-format", "dir",
-             "--prebuild", "hnsw", "--prebuild", "pq", "--pq-m", "4"])
-        assert args.artifact_format == "dir"
-        assert args.prebuild == ["hnsw", "pq"] and args.pq_m == 4
-
-    def test_serve_quant_flags_parse(self):
-        args = build_parser().parse_args(
-            ["serve", "art.npz", "--index", "pq", "--refine", "80"])
-        assert args.index == "pq" and args.refine == 80
+    @pytest.mark.parametrize("argv", [
+        ["serve", "art.npz", "--index", "hnsw"],
+        ["serve", "art.npz", "--index", "pq"],
+        ["serve", "art.npz", "--index", "ivf_pq"],
+        ["serve", "art.npz", "--index", "exact_sq"],
+        ["serve", "art.npz", "--backend", "ivf"],
+        ["serve", "art.npz", "--refine", "80"],
+        ["export", "out", "--artifact-format", "dir"],
+        ["export", "out", "--prebuild", "ivf"],
+        ["export", "out", "--pq-m", "4"],
+    ])
+    def test_removed_backends_and_formats_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
 
     def test_serve_telemetry_flags_parse(self):
         args = build_parser().parse_args(
@@ -140,6 +146,20 @@ class TestEndToEnd:
         assert main(["serve", str(exported), "--scale", "0.3"]) == 2
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["flipped", "truncated"])
+    def test_serve_refuses_damaged_artifact(self, exported, damaged, kind,
+                                            capsys):
+        bad = damaged(exported, kind)
+        assert main(["serve", str(bad)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert str(bad) in err and "\n" not in err
+
+    def test_serve_refuses_unreadable_path(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.npz", tmp_path):
+            assert main(["serve", str(path)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert str(path) in err and "\n" not in err
+
     def test_serve_metrics_out_dumps_final_snapshot(self, exported, tmp_path,
                                                     monkeypatch, capsys):
         from repro.data import DATASET_PRESETS, generate, k_core_filter
@@ -154,9 +174,49 @@ class TestEndToEnd:
                      "--metrics-out", str(metrics_path)]) == 0
         capsys.readouterr()
         snapshot = json.loads(metrics_path.read_text(encoding="utf-8"))
-        assert snapshot["requests"] == 1
-        assert snapshot["errors"] == 0
-        assert "stages" in snapshot and "total" in snapshot["stages"]
+        assert snapshot["stdin"] == {"requests": 1, "errors": 0}
+        backend = snapshot["backend"]
+        assert backend["requests"] == 1
+        assert backend["errors"] == 0
+        assert "stages" in backend and "total" in backend["stages"]
+
+    def _serve_lines(self, exported, tmp_path, monkeypatch, capsys,
+                     lines: list[str]) -> tuple[list[dict], dict]:
+        metrics_path = tmp_path / "metrics.json"
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(
+            lines + [json.dumps({"op": "quit"})])))
+        assert main(["serve", str(exported),
+                     "--metrics-out", str(metrics_path)]) == 0
+        answers = [json.loads(line) for line in
+                   capsys.readouterr().out.strip().splitlines()[1:]]
+        return answers, json.loads(metrics_path.read_text(encoding="utf-8"))
+
+    def test_serve_loop_counts_error_answers(self, exported, tmp_path,
+                                             monkeypatch, capsys):
+        from repro.data import DATASET_PRESETS, generate, k_core_filter
+        user = k_core_filter(
+            generate(DATASET_PRESETS["taobao"](0.1), seed=3)).users[0]
+        answers, snapshot = self._serve_lines(
+            exported, tmp_path, monkeypatch, capsys, [
+                "not json",
+                json.dumps({"user": 2.9}),
+                json.dumps({"op": "nope"}),
+                json.dumps({"op": "append", "user": user, "item": 1,
+                            "behavior": "teleport"}),
+                json.dumps({"op": "recommend", "user": user, "k": 3}),
+            ])
+        assert [answer["ok"] for answer in answers] == [False] * 4 + [True]
+        assert snapshot["stdin"] == {"requests": 5, "errors": 4}
+        assert snapshot["backend"]["requests"] == 1
+
+    def test_service_errors_counted_once_per_block(self, exported, tmp_path,
+                                                    monkeypatch, capsys):
+        answers, snapshot = self._serve_lines(
+            exported, tmp_path, monkeypatch, capsys,
+            [json.dumps({"op": "recommend", "user": 10 ** 9})])
+        assert not answers[0]["ok"]
+        assert snapshot["stdin"] == {"requests": 1, "errors": 1}
+        assert snapshot["backend"]["errors"] == 1
 
     def test_serve_events_out_renders_request_spans(self, exported, tmp_path,
                                                     monkeypatch, capsys):

@@ -214,7 +214,6 @@ class TestValidationAndStats:
         assert stats["index"] == {
             "backend": "exact",
             "num_items": tiny_dataset.num_items,
-            "prebuilt": False,
             "resident_bytes": service.index.vectors.nbytes,
         }
         assert set(stats["stages"]) == {"queue", "encode", "retrieve",
